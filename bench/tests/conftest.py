@@ -1,0 +1,10 @@
+"""The harness tests import the benchmark's modules, which import the
+program from the checkout's ``src/``."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (BENCH, os.path.join(os.path.dirname(BENCH), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
