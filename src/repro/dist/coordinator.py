@@ -24,12 +24,10 @@ attempt entry, making the ledger a cross-host audit trail.
 
 Failures the job itself causes (``malformed``/``budget``/``verdict``/
 ``error`` payload classifications, and crash/timeout of the worker's
-*subprocess* with the host still healthy) follow the local
-supervisor's retry semantics exactly: capped-jitter
-:class:`~repro.runner.supervisor.RetryPolicy` backoff, 4x budget
-escalation, quarantine of deterministic failures.  Host loss is
-tracked separately (``max_reassigns``) so a kill -9'd worker host
-costs reassignment latency, never a job.
+*subprocess* with the host still healthy) are settled by the attempt
+automaton every transport shares (:mod:`repro.runner.attempts`).  Host
+loss is tracked separately (``max_reassigns``) so a kill -9'd worker
+host costs reassignment latency, never a job.
 
 Per-host **circuit breakers** (:mod:`repro.serve.resilience`) stop the
 coordinator from feeding jobs to a host that keeps eating them; dead
@@ -49,7 +47,7 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dist import protocol
@@ -57,12 +55,19 @@ from repro.dist.cache_sync import cacheable_entry, lookup_entry, store_entry
 from repro.dist.leases import Lease, LeaseTable
 from repro.dist.protocol import ConnectionClosed, FrameConnection, ProtocolError
 from repro.errors import ReproError
-from repro.obs import instrument as _telemetry
 from repro.obs.instrument import Recorder
+from repro.runner.attempts import (
+    AttemptState,
+    Bookkeeper,
+    RetryPolicy,
+    Terminal,
+    attempt_body,
+    settle,
+    take_eligible,
+)
 from repro.runner.jobs import Job
 from repro.runner.ledger import Ledger
-from repro.runner.report import TRANSIENT_CLASSES, CampaignReport, JobOutcome
-from repro.runner.supervisor import RetryPolicy, classify_payload, payload_detail
+from repro.runner.report import CampaignReport, JobOutcome
 from repro.serve.resilience import BreakerBoard
 
 __all__ = ["DistConfig", "DistCoordinator", "parse_hosts"]
@@ -130,17 +135,10 @@ class DistConfig:
 
 
 @dataclass
-class _DistJobState:
-    """Coordinator-side bookkeeping for one job across hosts."""
+class _DistJobState(AttemptState):
+    """A job's attempt state plus its host-level history."""
 
-    job: Job
-    attempt: int = 0
-    retries: int = 0
     reassigns: int = 0
-    budget_scale: int = 1
-    eligible_at: float = 0.0
-    classifications: List[str] = field(default_factory=list)
-    wall: float = 0.0
     started_at: Optional[float] = None
 
 
@@ -213,6 +211,7 @@ class DistCoordinator:
             failure_threshold=3, cooldown_s=max(2.0, config.lease_ms / 1000.0)
         )
         self.leases = LeaseTable()
+        self._books = Bookkeeper(self.retry, self.recorder, "dist.", ledger)
         self._events: "_queue_mod.Queue" = _queue_mod.Queue()
         self._workers = [_RemoteWorker(addr) for addr in config.hosts]
         self._pending: List[_DistJobState] = []
@@ -326,41 +325,22 @@ class DistCoordinator:
         if state.started_at is not None:
             state.wall += time.monotonic() - state.started_at
             state.started_at = None
-        state.classifications.append(classification)
         state.reassigns += 1
         self.recorder.incr("dist.reassigned")
         self.breakers.breaker(worker.label).record(classification)
-        detail = "worker {} {}: {}".format(worker.label, classification, why)
-        if self.ledger is not None:
-            self.ledger.attempt(
-                lease.job_id,
-                state.attempt,
-                classification,
-                detail,
-                budget_scale=state.budget_scale,
-                extra=dict(worker.identity(), epoch=lease.epoch),
-            )
-        state.attempt += 1
+        detail = "host lost: {}".format(why)
+        decision = None
         if state.reassigns > self.config.max_reassigns:
             # This job has out-lived every allowance; record the loss
             # honestly rather than looping forever.
-            outcome = JobOutcome(
-                job_id=state.job.job_id,
-                kind=state.job.kind,
-                system=state.job.system,
-                status=classification,
-                ok=False,
-                attempts=state.attempt,
-                retries=state.retries,
-                detail="exhausted {} reassignments: {}".format(
-                    self.config.max_reassigns, detail
-                ),
-                wall=state.wall,
-                conclusive=True,
-                expect_failure=state.job.expect_failure,
-                classifications=list(state.classifications),
+            detail = "exhausted {} reassignments: {}".format(
+                self.config.max_reassigns, detail
             )
-            self._settle_outcome(outcome)
+            decision = settle(state, classification, detail, None, self.retry, 0)
+        extra = dict(worker.identity(), epoch=lease.epoch)
+        self._books.commit(state, classification, detail, None, decision, extra)
+        if decision is not None:
+            self._settle_outcome(decision.outcome)
             return
         state.eligible_at = time.monotonic() + self.retry.delay(
             min(state.reassigns - 1, 4)
@@ -395,20 +375,6 @@ class DistCoordinator:
 
     # -- assignment ----------------------------------------------------
 
-    def _job_body(self, state: _DistJobState) -> Dict[str, Any]:
-        body = state.job.to_dict()
-        params = dict(body["params"])
-        params["budget_scale"] = state.budget_scale
-        params["timeout"] = self.config.timeout
-        if self.engine is not None:
-            params["engine"] = self.engine
-            if self.engine_workers is not None:
-                params["workers"] = self.engine_workers
-        if self.job_cache is not None:
-            params["cache"] = self.job_cache
-        body["params"] = params
-        return body
-
     def _assign(self, worker: _RemoteWorker, state: _DistJobState) -> bool:
         now = time.monotonic()
         lease = self.leases.grant(
@@ -420,7 +386,14 @@ class DistCoordinator:
         state.started_at = now
         frame = {
             "kind": "assign",
-            "job": self._job_body(state),
+            "job": attempt_body(
+                state.job,
+                state.budget_scale,
+                self.config.timeout,
+                engine=self.engine,
+                engine_workers=self.engine_workers,
+                cache=self.job_cache,
+            ),
             "epoch": lease.epoch,
             "attempt": state.attempt,
             "cache_entry": lookup_entry(self.cache, state.job),
@@ -493,143 +466,45 @@ class DistCoordinator:
             state.started_at = None
         self.recorder.incr("dist.results")
         payload = frame.get("payload")
-        if frame.get("timed_out"):
-            classification = "timeout"
-            detail = "worker {} watchdog killed the attempt".format(worker.label)
-        elif payload is None:
-            classification = "crash"
-            detail = "worker {} subprocess died without a result".format(worker.label)
-        else:
-            classification = classify_payload(job_id, payload)
-            detail = payload_detail(payload)
-        if isinstance(payload, dict) and isinstance(payload.get("telemetry"), dict):
-            self.recorder.merge(payload["telemetry"])
         if store_entry(self.cache, state.job, frame.get("cache_entry")):
             self.recorder.incr("dist.cache_pulled")
-        self.breakers.breaker(worker.label).record(classification)
-        self._settle_attempt(state, classification, detail, payload, worker, epoch)
-
-    # -- settling (the supervisor's retry semantics) --------------------
-
-    def _settle_attempt(
-        self,
-        state: _DistJobState,
-        classification: str,
-        detail: str,
-        payload,
-        worker: _RemoteWorker,
-        epoch: int,
-    ) -> None:
-        state.classifications.append(classification)
-        retryable = (
-            classification in TRANSIENT_CLASSES
-            and state.retries < self.retry.max_retries
+        extra = dict(worker.identity(), epoch=epoch)
+        timed_out = bool(frame.get("timed_out"))
+        decision = self._books.advance(
+            state, payload, timed_out, self.retry.max_retries, extra
         )
-        backoff = self.retry.delay(state.attempt) if retryable else None
-        if self.ledger is not None:
-            self.ledger.attempt(
-                state.job.job_id,
-                state.attempt,
-                classification,
-                detail,
-                backoff=backoff,
-                budget_scale=state.budget_scale,
-                extra=dict(worker.identity(), epoch=epoch),
-            )
-        counter = {
-            "crash": "dist.crashes",
-            "timeout": "dist.timeouts",
-            "malformed": "dist.malformed",
-            "budget": "dist.budget_cuts",
-        }.get(classification)
-        if counter is not None:
-            self.recorder.incr(counter)
-        if retryable:
-            if classification == "budget":
-                state.budget_scale *= 4
-                self.recorder.incr("dist.budget_escalations")
-            state.retries += 1
-            state.attempt += 1
-            state.eligible_at = time.monotonic() + backoff
-            self.recorder.incr("dist.retries")
-            self._pending.append(state)
-            return
-        self._terminal(state, classification, detail, payload)
-
-    def _terminal(
-        self, state: _DistJobState, classification: str, detail: str, payload
-    ) -> None:
-        job = state.job
-        conclusive = True
-        error = payload.get("error") if isinstance(payload, dict) else None
-        if classification == "ok":
-            if job.expect_failure:
-                status, ok = "unexpected-pass", False
-                detail = detail or "expected this system to fail; it passed"
-            else:
-                status, ok = "ok", True
-        elif classification == "verdict":
-            if job.expect_failure:
-                status, ok = "expected-failure", True
-            else:
-                status, ok = "verdict", False
-        elif classification == "budget":
-            status = "budget"
-            ok = bool(isinstance(payload, dict) and payload.get("ok"))
-            conclusive = False
+        self.breakers.breaker(worker.label).record(state.classifications[-1])
+        if isinstance(decision, Terminal):
+            self._settle_outcome(decision.outcome)
         else:
-            status, ok = classification, False
-        if not ok:
-            self.recorder.incr("dist.failed")
-        outcome = JobOutcome(
-            job_id=job.job_id,
-            kind=job.kind,
-            system=job.system,
-            status=status,
-            ok=ok,
-            attempts=state.attempt + 1,
-            retries=state.retries,
-            detail=detail,
-            wall=state.wall,
-            conclusive=conclusive,
-            expect_failure=job.expect_failure,
-            classifications=list(state.classifications),
-            error=error,
-        )
-        self._settle_outcome(outcome)
+            self._pending.append(state)
 
     def _settle_outcome(self, outcome: JobOutcome) -> None:
+        """Register a terminal outcome (its ledger ``done`` line is
+        already written, by this coordinator or the local fallback)."""
         if outcome.job_id in self._settled:
             # Double-settle would be a merge bug; keep the first, loudly.
             self.recorder.incr("dist.duplicate_outcomes")
             return
         self._settled[outcome.job_id] = outcome
-        if self.ledger is not None:
-            self.ledger.done(outcome)
 
     # -- the main loop -------------------------------------------------
 
     def run(self) -> CampaignReport:
         started = time.monotonic()
-        self.recorder.incr("dist.jobs", len(self.jobs))
-        if self.ledger is not None:
-            if self.write_header:
-                self.ledger.begin(
-                    self.campaign_id,
-                    self.jobs,
-                    {
-                        "dist": True,
-                        "hosts": [list(h) for h in self.config.hosts],
-                        "lease_ms": self.config.lease_ms,
-                        "heartbeat_ms": self.config.heartbeat_ms,
-                        "timeout": self.config.timeout,
-                        "max_retries": self.retry.max_retries,
-                    },
-                )
-            else:
-                self.ledger.resume(
-                    self.campaign_id, [job.job_id for job in self.jobs]
-                )
+        self._books.begin(
+            self.campaign_id,
+            self.jobs,
+            {
+                "dist": True,
+                "hosts": [list(h) for h in self.config.hosts],
+                "lease_ms": self.config.lease_ms,
+                "heartbeat_ms": self.config.heartbeat_ms,
+                "timeout": self.config.timeout,
+                "max_retries": self.retry.max_retries,
+            },
+            self.write_header,
+        )
         self._pending = [_DistJobState(job=job) for job in self.jobs]
         # Initial fleet: dial every configured host once, in parallel
         # threads so one black-holed address cannot serialise the rest.
@@ -694,17 +569,9 @@ class DistCoordinator:
             if not breaker.allow():
                 self.recorder.incr("dist.breaker_rejections")
                 continue
-            index = next(
-                (
-                    i
-                    for i, state in enumerate(self._pending)
-                    if state.eligible_at <= now
-                ),
-                None,
-            )
-            if index is None:
-                continue
-            self._assign(worker, self._pending.pop(index))
+            state = take_eligible(self._pending, now)
+            if state is not None:
+                self._assign(worker, state)
 
     def _drain_events(self) -> None:
         try:
@@ -741,7 +608,7 @@ class DistCoordinator:
             jobs,
             workers=self.config.fallback_workers,
             timeout=self.config.timeout,
-            retry=RetryPolicy(max_retries=self.retry.max_retries),
+            retry=self.retry,
             ledger=self.ledger,
             campaign_id=self.campaign_id,
             write_header=write_header,
@@ -758,14 +625,7 @@ class DistCoordinator:
         self.recorder.incr("dist.degraded")
         self._log("{}; falling back to the local worker pool".format(reason))
         if not self.local_fallback:
-            report = CampaignReport(
-                campaign_id=self.campaign_id,
-                outcomes=list(self.prior_outcomes.values()),
-                interrupted=True,
-                wall=time.monotonic() - started,
-            )
-            report.telemetry = self.recorder.snapshot()
-            return report
+            return self._report(started, interrupted=True)
         supervisor = self._local_supervisor(
             [s.job for s in self._pending], write_header=False
         )
@@ -802,40 +662,14 @@ class DistCoordinator:
             for o in self._settled.values()
             if o.job_id not in self.prior_outcomes
         ]
-        report = CampaignReport(
-            campaign_id=self.campaign_id,
-            outcomes=outcomes,
-            interrupted=interrupted or bool(self._pending or self._assigned),
-            wall=time.monotonic() - started,
+        return self._books.report(
+            self.campaign_id,
+            outcomes,
+            interrupted or bool(self._pending or self._assigned),
+            time.monotonic() - started,
+            dist=True,
+            degraded=self.degraded,
         )
-        for outcome in report.outcomes:
-            self.recorder.merge(
-                {
-                    "timers": {
-                        "dist.job." + outcome.job_id: {
-                            "total_s": outcome.wall,
-                            "calls": 1,
-                        }
-                    }
-                }
-            )
-        report.telemetry = self.recorder.snapshot()
-        parent = _telemetry.active()
-        if parent is not None and parent is not self.recorder:
-            parent.merge(self.recorder)
-        if self.ledger is not None:
-            self.ledger.end(
-                {
-                    "ok": report.ok,
-                    "interrupted": report.interrupted,
-                    "jobs": len(report.outcomes),
-                    "retries": report.total_retries(),
-                    "counts": report.counts(),
-                    "dist": True,
-                    "degraded": self.degraded,
-                }
-            )
-        return report
 
     def _log(self, line: str) -> None:
         import sys

@@ -33,7 +33,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -41,15 +40,13 @@ from repro.dist import protocol
 from repro.dist.cache_sync import cacheable_entry, lookup_entry, store_entry
 from repro.dist.netfaults import FaultPlan, FaultyConnection
 from repro.dist.protocol import ConnectionClosed, FrameConnection, ProtocolError
-from repro.runner.jobs import Job, execute_job
+from repro.runner.attempts import run_inline, run_isolated
+from repro.runner.jobs import Job
 
 __all__ = ["DistWorker", "EXIT_DIST_TRANSPORT", "run_worker_process"]
 
 #: Exit code for an unrecoverable transport failure (bind refused).
 EXIT_DIST_TRANSPORT = 5
-
-#: Seconds granted to a killed attempt subprocess before SIGKILL.
-_KILL_GRACE_S = 0.5
 
 
 class DistWorker:
@@ -291,46 +288,10 @@ class DistWorker:
             payload = dict(hit)
             payload["cached"] = True
             return payload, False
+        body = job.to_dict()
         if not self.isolation:
-            return execute_job(job), False
-        return self._run_isolated(job.to_dict(), attempt)
-
-    def _run_isolated(
-        self, body: Dict[str, Any], attempt: int
-    ) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """Spawn-isolated attempt with a watchdog, mirroring the local
-        supervisor: a crashed subprocess yields ``(None, False)``, an
-        overdue one is killed and yields ``(None, True)``."""
-        import multiprocessing
-
-        from repro.runner.worker import worker_main
-
-        ctx = multiprocessing.get_context("spawn")
-        queue = ctx.SimpleQueue()
-        process = ctx.Process(target=worker_main, args=(body, attempt, queue), daemon=True)
-        process.start()
-        watchdog_s = float(body.get("params", {}).get("timeout", 30.0))
-        deadline = time.monotonic() + watchdog_s
-        while process.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        timed_out = process.is_alive()
-        if timed_out:
-            process.terminate()
-            process.join(_KILL_GRACE_S)
-            if process.is_alive():
-                process.kill()
-                process.join(1.0)
-        else:
-            process.join()
-        payload = None
-        if not timed_out:
-            try:
-                payload = None if queue.empty() else queue.get()
-            except Exception:  # torn pipe write from a dying subprocess
-                payload = None
-        if hasattr(queue, "close"):
-            queue.close()
-        return payload, timed_out
+            return run_inline(body)
+        return run_isolated(body, attempt, float(job.params.get("timeout", 30.0)))
 
     def _say(self, line: str) -> None:
         if not self.quiet:

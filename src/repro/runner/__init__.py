@@ -9,14 +9,17 @@ results (``python -m repro run``):
   in-process execution;
 - :mod:`repro.runner.worker` — the spawned-subprocess entry point and
   chaos self-test modes;
-- :mod:`repro.runner.supervisor` — watchdogs, failure classification,
-  retry/backoff, quarantine;
+- :mod:`repro.runner.attempts` — the attempt automaton every transport
+  shares: classification, retry/backoff, budget escalation, quarantine;
+- :mod:`repro.runner.supervisor` — spawn-isolated local workers under
+  watchdogs;
 - :mod:`repro.runner.ledger` — the JSONL checkpoint ledger behind
   ``repro run --resume``;
 - :mod:`repro.runner.report` — per-job outcomes and the always-complete
   :class:`CampaignReport`.
 """
 
+from repro.runner.attempts import RetryPolicy
 from repro.runner.jobs import JOB_KINDS, Job, default_jobs, execute_job
 from repro.runner.ledger import Ledger, LedgerState, load_ledger
 from repro.runner.report import (
@@ -25,17 +28,9 @@ from repro.runner.report import (
     CampaignReport,
     JobOutcome,
 )
-from repro.runner.supervisor import (
-    CHAOS_MODES,
-    RetryPolicy,
-    Supervisor,
-    classify_payload,
-    payload_detail,
-)
+from repro.runner.supervisor import CHAOS_MODES, Supervisor
 
 __all__ = [
-    "classify_payload",
-    "payload_detail",
     "JOB_KINDS",
     "FAILURE_CLASSES",
     "TRANSIENT_CLASSES",

@@ -9,13 +9,13 @@ dies with them wastes everything already proved.  The
   worker can die arbitrarily without touching the supervisor);
 - every attempt has a **wall-clock watchdog**; an overdue worker is
   killed and the attempt classified ``timeout``;
-- every failure is **classified** (see
-  :data:`repro.runner.report.FAILURE_CLASSES`): transient classes are
-  retried with capped exponential backoff + deterministic jitter,
+- every attempt is **classified and settled** by
+  :mod:`repro.runner.attempts` (the one retry policy ``repro run``,
+  ``repro run --dist`` and ``repro serve`` share): transient classes
+  retry with capped exponential backoff + deterministic jitter,
   ``budget`` retries escalate the job's
   :class:`~repro.faults.budget.Budget`, and deterministic classes
-  (``verdict``, ``error``) are quarantined — retrying would re-prove
-  the same failure;
+  (``verdict``, ``error``) are quarantined;
 - progress streams to a :class:`~repro.runner.ledger.Ledger`, so a
   killed campaign resumes from its checkpoint instead of restarting;
 - worker telemetry snapshots are folded into the supervisor's
@@ -28,26 +28,32 @@ raises for anything a worker did.
 
 from __future__ import annotations
 
-import multiprocessing
-import random
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.obs import instrument as _telemetry
 from repro.obs.instrument import Recorder
-from repro.runner.jobs import RESULT_SCHEMA_VERSION, Job, execute_job
+from repro.runner.attempts import (
+    AttemptState,
+    Bookkeeper,
+    RetryPolicy,
+    Terminal,
+    attempt_body,
+    collect,
+    run_inline,
+    spawn_attempt,
+    take_eligible,
+)
+from repro.runner.jobs import Job
 from repro.runner.ledger import Ledger
-from repro.runner.report import TRANSIENT_CLASSES, CampaignReport, JobOutcome
+from repro.runner.report import CampaignReport, JobOutcome
 
 __all__ = [
     "RetryPolicy",
     "Supervisor",
     "CHAOS_MODES",
-    "classify_payload",
-    "payload_detail",
 ]
 
 #: The chaos self-test battery: with ``chaos=True`` the supervisor
@@ -56,88 +62,9 @@ __all__ = [
 CHAOS_MODES = ("crash", "hang", "malformed")
 
 
-def classify_payload(job_id: str, payload) -> str:
-    """Map a worker's (possibly absent or garbled) result payload to a
-    failure class from :data:`repro.runner.report.FAILURE_CLASSES`.
-
-    Shared by the campaign :class:`Supervisor` and the serving worker
-    pool (:mod:`repro.serve.workers`) so both sides of the repo speak
-    one taxonomy: ``malformed`` for anything that is not a current-schema
-    payload for this job, ``error`` for an escaped library error,
-    ``verdict`` for a completed-and-failed check, ``budget`` for a
-    partial (inconclusive) verdict, ``ok`` otherwise.
-    """
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != RESULT_SCHEMA_VERSION
-        or payload.get("job_id") != job_id
-    ):
-        return "malformed"
-    if payload.get("error"):
-        return "error"
-    if not payload.get("ok"):
-        return "verdict"
-    if payload.get("exhausted_budget") and not payload.get("conclusive", True):
-        return "budget"
-    return "ok"
-
-
-def payload_detail(payload) -> str:
-    """A human-readable one-liner for a classified payload."""
-    if isinstance(payload, dict):
-        return str(payload.get("detail", ""))
-    return "unintelligible worker result: {!r}".format(payload)[:200]
-
-
-class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter.
-
-    ``delay(attempt)`` for attempt ``n`` (0-based, the attempt that just
-    failed) is ``min(cap, base · 2ⁿ)`` stretched by up to ``jitter``
-    fraction — jitter is drawn from a seeded RNG so campaigns are
-    reproducible and retry storms still decorrelate.
-    """
-
-    def __init__(
-        self,
-        max_retries: int = 2,
-        base: float = 0.1,
-        cap: float = 2.0,
-        jitter: float = 0.25,
-        seed: int = 0,
-    ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if base < 0 or cap < 0 or jitter < 0:
-            raise ValueError("base, cap and jitter must be >= 0")
-        self.max_retries = max_retries
-        self.base = base
-        self.cap = cap
-        self.jitter = jitter
-        self._rng = random.Random(seed)
-
-    def delay(self, attempt: int) -> float:
-        return min(self.cap, self.base * (2 ** attempt)) * (
-            1.0 + self.jitter * self._rng.random()
-        )
-
-
-@dataclass
-class _JobState:
-    """Supervisor-side bookkeeping for one job across its attempts."""
-
-    job: Job
-    attempt: int = 0
-    eligible_at: float = 0.0
-    budget_scale: int = 1
-    retries: int = 0
-    classifications: List[str] = field(default_factory=list)
-    wall: float = 0.0
-
-
 @dataclass
 class _Running:
-    state: _JobState
+    state: AttemptState
     process: Any
     queue: Any
     deadline: float
@@ -199,137 +126,32 @@ class Supervisor:
                 job.with_chaos(CHAOS_MODES[i % len(CHAOS_MODES)]) if i < len(CHAOS_MODES) else job
                 for i, job in enumerate(self.jobs)
             ]
-        self._ctx = multiprocessing.get_context("spawn")
-
-    # -- classification ------------------------------------------------
-
-    def _classify_payload(self, state: _JobState, payload) -> str:
-        return classify_payload(state.job.job_id, payload)
-
-    def _payload_detail(self, payload) -> str:
-        return payload_detail(payload)
+        self._books = Bookkeeper(self.retry, self.recorder, "runner.", ledger)
 
     # -- attempt lifecycle ---------------------------------------------
 
-    def _job_body(self, state: _JobState) -> Dict[str, Any]:
-        body = state.job.to_dict()
-        params = dict(body["params"])
-        params["budget_scale"] = state.budget_scale
-        params["timeout"] = self.timeout
-        # Campaign-wide engine/cache choices travel as job params so
-        # they survive the spawn boundary (workers reuse the cache and
-        # rebuild the engine from scratch in their fresh interpreters).
-        if self.engine is not None:
-            params["engine"] = self.engine
-            if self.engine_workers is not None:
-                params["workers"] = self.engine_workers
-        if self.cache is not None:
-            params["cache"] = self.cache
-        body["params"] = params
-        return body
-
-    def _settle(
-        self, state: _JobState, classification: str, detail: str, payload
-    ) -> Optional[JobOutcome]:
-        """Record one classified attempt; returns the terminal outcome
-        or ``None`` when the job was rescheduled for retry."""
-        state.classifications.append(classification)
-        retryable = (
-            classification in TRANSIENT_CLASSES
-            and state.attempt < self.retry.max_retries
+    def _body(self, state: AttemptState) -> Dict[str, Any]:
+        return attempt_body(
+            state.job,
+            state.budget_scale,
+            self.timeout,
+            engine=self.engine,
+            engine_workers=self.engine_workers,
+            cache=self.cache,
         )
-        backoff = self.retry.delay(state.attempt) if retryable else None
-        if self.ledger is not None:
-            self.ledger.attempt(
-                state.job.job_id,
-                state.attempt,
-                classification,
-                detail,
-                backoff=backoff,
-                budget_scale=state.budget_scale,
-            )
-        counter = {
-            "crash": "runner.crashes",
-            "timeout": "runner.timeouts",
-            "malformed": "runner.malformed",
-            "budget": "runner.budget_cuts",
-        }.get(classification)
-        if counter is not None:
-            self.recorder.incr(counter)
-        if isinstance(payload, dict) and isinstance(payload.get("telemetry"), dict):
-            self.recorder.merge(payload["telemetry"])
-        if retryable:
-            if classification == "budget":
-                state.budget_scale *= 4
-                self.recorder.incr("runner.budget_escalations")
-            state.retries += 1
-            state.attempt += 1
-            state.eligible_at = time.monotonic() + backoff
-            self.recorder.incr("runner.retries")
-            return None
-        return self._terminal(state, classification, detail, payload)
 
-    def _terminal(
-        self, state: _JobState, classification: str, detail: str, payload
-    ) -> JobOutcome:
-        job = state.job
-        conclusive = True
-        error = payload.get("error") if isinstance(payload, dict) else None
-        if classification == "ok":
-            if job.expect_failure:
-                status, ok = "unexpected-pass", False
-                detail = detail or "expected this system to fail; it passed"
-            else:
-                status, ok = "ok", True
-        elif classification == "verdict":
-            if job.expect_failure:
-                status, ok = "expected-failure", True
-            else:
-                status, ok = "verdict", False
-        elif classification == "budget":
-            # Retries (with escalated budgets) ran out: keep the partial
-            # verdict, flagged inconclusive, rather than losing the job.
-            status = "budget"
-            ok = bool(isinstance(payload, dict) and payload.get("ok"))
-            conclusive = False
-        else:
-            status, ok = classification, False
-        if not ok or classification in ("verdict", "error"):
-            if not ok:
-                self.recorder.incr("runner.failed")
-            if classification in ("verdict", "error") and not job.expect_failure:
-                self.recorder.incr("runner.quarantined")
-        outcome = JobOutcome(
-            job_id=job.job_id,
-            kind=job.kind,
-            system=job.system,
-            status=status,
-            ok=ok,
-            attempts=state.attempt + 1,
-            retries=state.retries,
-            detail=detail,
-            wall=state.wall,
-            conclusive=conclusive,
-            expect_failure=job.expect_failure,
-            classifications=list(state.classifications),
-            error=error,
+    def _settle(self, state: AttemptState, payload, timed_out: bool, extra=None):
+        """Settle one finished attempt: the terminal outcome, or
+        ``None`` when the job was rescheduled for retry."""
+        decision = self._books.advance(
+            state, payload, timed_out, self.retry.max_retries, extra
         )
-        if self.ledger is not None:
-            self.ledger.done(outcome)
-        return outcome
+        return decision.outcome if isinstance(decision, Terminal) else None
 
     # -- execution -----------------------------------------------------
 
-    def _launch(self, state: _JobState) -> _Running:
-        from repro.runner.worker import worker_main
-
-        queue = self._ctx.SimpleQueue()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(self._job_body(state), state.attempt, queue),
-            daemon=True,
-        )
-        process.start()
+    def _launch(self, state: AttemptState) -> _Running:
+        process, queue = spawn_attempt(self._body(state), state.attempt)
         self.recorder.incr("runner.launched")
         now = time.monotonic()
         return _Running(
@@ -340,44 +162,20 @@ class Supervisor:
             started=now,
         )
 
-    def _reap(self, running: _Running, timed_out: bool):
-        """Collect a finished (or overdue) worker into a classification."""
+    def _reap(self, running: _Running, timed_out: bool) -> Optional[JobOutcome]:
+        """Collect a finished (or overdue) worker and settle its attempt."""
         state = running.state
         state.wall += time.monotonic() - running.started
-        payload = None
-        if timed_out:
-            running.process.terminate()
-            running.process.join(0.5)
-            if running.process.is_alive():
-                running.process.kill()
-                running.process.join(1.0)
-            classification, detail = "timeout", (
-                "watchdog: no result within {:.1f}s".format(self.timeout)
-            )
-        else:
-            running.process.join()
-            try:
-                payload = None if running.queue.empty() else running.queue.get()
-            except Exception as exc:  # torn pipe write from a dying worker
-                payload, detail = None, "result unreadable: {}".format(exc)
-            if payload is None:
-                classification = "crash"
-                detail = "worker exited (code {}) without a result".format(
-                    running.process.exitcode
-                )
-            else:
-                classification = self._classify_payload(state, payload)
-                detail = self._payload_detail(payload)
-        if hasattr(running.queue, "close"):
-            running.queue.close()
-        return self._settle(state, classification, detail, payload)
+        payload = collect(running.process, running.queue, timed_out)
+        return self._settle(
+            state, payload, timed_out, {"exitcode": running.process.exitcode}
+        )
 
-    def _run_inline(self, state: _JobState) -> Optional[JobOutcome]:
+    def _run_inline(self, state: AttemptState) -> Optional[JobOutcome]:
         start = time.monotonic()
-        payload = execute_job(Job.from_dict(self._job_body(state)))
+        payload, timed_out = run_inline(self._body(state))
         state.wall += time.monotonic() - start
-        classification = self._classify_payload(state, payload)
-        return self._settle(state, classification, self._payload_detail(payload), payload)
+        return self._settle(state, payload, timed_out)
 
     def run(self) -> CampaignReport:
         """Drive every job to a terminal outcome; never raises for
@@ -385,90 +183,58 @@ class Supervisor:
         campaign after ``N`` terminal outcomes — the ledger then holds
         a resumable checkpoint and the report says ``interrupted``."""
         started = time.monotonic()
-        self.recorder.incr("runner.jobs", len(self.jobs))
-        if self.ledger is not None:
-            if self.write_header:
-                self.ledger.begin(
-                    self.campaign_id,
-                    self.jobs,
-                    {
-                        "workers": self.workers,
-                        "timeout": self.timeout,
-                        "max_retries": self.retry.max_retries,
-                        "chaos": self.chaos,
-                    },
-                )
-            else:
-                self.ledger.resume(
-                    self.campaign_id, [job.job_id for job in self.jobs]
-                )
-        pending: List[_JobState] = [_JobState(job=job) for job in self.jobs]
+        self._books.begin(
+            self.campaign_id,
+            self.jobs,
+            {
+                "workers": self.workers,
+                "timeout": self.timeout,
+                "max_retries": self.retry.max_retries,
+                "chaos": self.chaos,
+            },
+            self.write_header,
+        )
+        pending: List[AttemptState] = [AttemptState(job=job) for job in self.jobs]
         running: List[_Running] = []
         outcomes: List[JobOutcome] = list(self.prior_outcomes.values())
         settled = 0
         interrupted = False
+
+        def land(state: AttemptState, outcome: Optional[JobOutcome]) -> None:
+            nonlocal settled
+            if outcome is None:
+                pending.append(state)
+            else:
+                outcomes.append(outcome)
+                settled += 1
+
         try:
             while pending or running:
-                if (
-                    self.stop_after is not None
-                    and settled >= self.stop_after
-                    and not running
-                ):
-                    interrupted = bool(pending)
-                    break
-                now = time.monotonic()
                 stop_launching = (
                     self.stop_after is not None and settled >= self.stop_after
                 )
-                while (
-                    not stop_launching
-                    and self.workers > 0
-                    and len(running) < self.workers
-                ):
-                    index = next(
-                        (
-                            i
-                            for i, state in enumerate(pending)
-                            if state.eligible_at <= now
-                        ),
-                        None,
-                    )
-                    if index is None:
+                if stop_launching and not running:
+                    interrupted = bool(pending)
+                    break
+                now = time.monotonic()
+                while not stop_launching and len(running) < self.workers:
+                    state = take_eligible(pending, now)
+                    if state is None:
                         break
-                    running.append(self._launch(pending.pop(index)))
-                if self.workers == 0 and pending and not stop_launching:
-                    index = next(
-                        (
-                            i
-                            for i, state in enumerate(pending)
-                            if state.eligible_at <= now
-                        ),
-                        None,
-                    )
-                    if index is not None:
-                        state = pending.pop(index)
-                        settled_outcome = self._run_inline(state)
-                        if settled_outcome is None:
-                            pending.append(state)
-                        else:
-                            outcomes.append(settled_outcome)
-                            settled += 1
+                    running.append(self._launch(state))
+                if self.workers == 0 and not stop_launching:
+                    state = take_eligible(pending, now)
+                    if state is not None:
+                        land(state, self._run_inline(state))
                         continue
                 reaped = False
                 for entry in list(running):
-                    now = time.monotonic()
                     finished = not entry.process.is_alive()
-                    overdue = not finished and now >= entry.deadline
-                    if not finished and not overdue:
-                        continue
-                    running.remove(entry)
-                    reaped = True
-                    outcome = self._reap(entry, timed_out=overdue)
-                    if outcome is None:
-                        pending.append(entry.state)
-                    else:
-                        outcomes.append(outcome)
-                        settled += 1
+                    overdue = not finished and time.monotonic() >= entry.deadline
+                    if finished or overdue:
+                        running.remove(entry)
+                        reaped = True
+                        land(entry.state, self._reap(entry, timed_out=overdue))
                 if not reaped and (running or pending):
                     time.sleep(self.poll_interval)
         except KeyboardInterrupt:
@@ -476,35 +242,6 @@ class Supervisor:
             for entry in running:
                 entry.process.terminate()
                 entry.process.join(0.5)
-        report = CampaignReport(
-            campaign_id=self.campaign_id,
-            outcomes=outcomes,
-            interrupted=interrupted,
-            wall=time.monotonic() - started,
+        return self._books.report(
+            self.campaign_id, outcomes, interrupted, time.monotonic() - started
         )
-        for outcome in outcomes:
-            self.recorder.merge(
-                {
-                    "timers": {
-                        "runner.job." + outcome.job_id: {
-                            "total_s": outcome.wall,
-                            "calls": 1,
-                        }
-                    }
-                }
-            )
-        report.telemetry = self.recorder.snapshot()
-        parent = _telemetry.active()
-        if parent is not None and parent is not self.recorder:
-            parent.merge(self.recorder)
-        if self.ledger is not None:
-            self.ledger.end(
-                {
-                    "ok": report.ok,
-                    "interrupted": interrupted,
-                    "jobs": len(outcomes),
-                    "retries": report.total_retries(),
-                    "counts": report.counts(),
-                }
-            )
-        return report

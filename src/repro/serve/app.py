@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.obs.instrument import Recorder
 from repro.runner.jobs import JOB_KINDS, Job, job_cache_parts
-from repro.runner.supervisor import RetryPolicy
+from repro.runner.attempts import RetryPolicy
 from repro.serve.backends import backend_cache
 from repro.serve.journal import Journal, load_journal
 from repro.serve.queue import AdmissionQueue
@@ -201,7 +201,7 @@ class VerificationService:
             self.recorder,
             workers=config.workers,
             isolation=config.isolation,
-            retry=RetryPolicy(seed=config.seed),
+            retry=RetryPolicy(max_retries=config.max_retries, seed=config.seed),
             on_done=self._job_done,
         )
         self.draining = False

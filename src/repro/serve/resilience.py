@@ -20,7 +20,7 @@ State machine (per system):
 - **half-open** — one probe request is admitted; success closes the
   breaker, failure re-opens it for another cool-down.
 
-Retries reuse the campaign :class:`~repro.runner.supervisor.RetryPolicy`
+Retries reuse the campaign :class:`~repro.runner.attempts.RetryPolicy`
 (capped exponential backoff, seeded jitter) — re-exported here so the
 serving layer has one import surface for its resilience knobs.
 """
@@ -31,7 +31,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.runner.supervisor import RetryPolicy
+from repro.runner.attempts import RetryPolicy
 
 __all__ = [
     "BREAKER_FAILURE_CLASSES",

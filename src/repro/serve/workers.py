@@ -1,22 +1,16 @@
 """The serving worker pool: crash-isolated attempts under deadlines.
 
 Each worker thread pulls scheduled jobs off the admission queue and
-drives one job at a time to a terminal result, reusing the campaign
-supervisor's machinery piece by piece:
+drives one job at a time to a terminal result through the attempt
+automaton campaigns use (:mod:`repro.runner.attempts`):
 
-- attempts run in a **spawned subprocess** via
-  :func:`repro.runner.worker.worker_main` (isolated mode, the daemon
-  default) or inline via :func:`repro.runner.jobs.execute_job` (test
-  and benchmark mode — no hang protection, budgets only);
-- results are classified with
-  :func:`repro.runner.supervisor.classify_payload` — the exact taxonomy
-  campaigns use (``ok``/``crash``/``timeout``/``malformed``/``budget``/
-  ``verdict``/``error``);
-- transient classes retry with the campaign
-  :class:`~repro.runner.supervisor.RetryPolicy` (budget cuts escalate
-  the budget 4x, like ``repro run``), but **never past the request's
-  deadline**;
-- every terminal classification feeds the system's circuit breaker.
+- attempts run in a **spawned subprocess** under a watchdog (isolated
+  mode, the daemon default) or inline (test and benchmark mode — no
+  hang protection, budgets only);
+- classification, retry/backoff and 4x budget escalation are the
+  campaign's, with the request's ``max_retries`` as the allowance —
+  but a retry **never runs past the request's deadline**;
+- every classified attempt feeds the system's circuit breaker.
 
 Deadline semantics: a request's ``deadline_ms`` is converted to a
 monotonic-clock deadline at admission.  The remaining time caps both
@@ -32,24 +26,30 @@ ran out, not the system).
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.instrument import Recorder
-from repro.runner.jobs import RESULT_SCHEMA_VERSION, Job, execute_job
-from repro.runner.report import TRANSIENT_CLASSES
-from repro.runner.supervisor import RetryPolicy, classify_payload, payload_detail
+from repro.runner.attempts import (
+    AttemptState,
+    Bookkeeper,
+    Retry,
+    RetryPolicy,
+    attempt_body,
+    classify_attempt,
+    run_inline,
+    run_isolated,
+    settle,
+)
+from repro.runner.jobs import RESULT_SCHEMA_VERSION, Job
+from repro.runner.report import JobOutcome
 from repro.serve.journal import Journal
 from repro.serve.queue import AdmissionQueue
 from repro.serve.resilience import BreakerBoard
 
 __all__ = ["ServeJob", "WorkerPool"]
-
-#: Seconds granted to a killed worker to die before SIGKILL.
-_KILL_GRACE_S = 0.5
 
 #: Floor on any watchdog/budget window — a zero window would make even
 #: the degradation path unreachable.
@@ -69,14 +69,22 @@ class ServeJob:
     deadline_at: Optional[float] = None
     state: str = "queued"  # queued | running | done
     result: Optional[Dict[str, Any]] = None
-    attempts: int = 0
-    classifications: List[str] = field(default_factory=list)
-    budget_scale: int = 1
     recovered: bool = False
+    #: Progress through the attempt automaton.
+    progress: AttemptState = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.deadline_ms is not None and self.deadline_at is None:
             self.deadline_at = self.submitted_at + self.deadline_ms / 1000.0
+        self.progress = AttemptState(job=self.job)
+
+    @property
+    def attempts(self) -> int:
+        return self.progress.attempt
+
+    @property
+    def classifications(self) -> List[str]:
+        return self.progress.classifications
 
     def remaining_s(self) -> Optional[float]:
         if self.deadline_at is None:
@@ -111,19 +119,22 @@ class ServeJob:
         return body
 
 
-def _deadline_result(job: ServeJob, where: str) -> Dict[str, Any]:
-    """The partial verdict for a job whose deadline expired ``where``
-    (``"queued"`` or ``"running"``) — the Budget-discipline answer:
-    degrade, flag, never hang."""
+def _synthetic_result(
+    job: ServeJob, status: str, detail: str, error: Optional[Dict[str, str]] = None
+) -> Dict[str, Any]:
+    """A terminal result no worker payload backs: a lost attempt
+    (``crash``/``timeout``/``malformed``), a serving ``error``, or a
+    ``deadline`` partial verdict — the Budget-discipline answer to an
+    expired deadline: degrade, flag, never hang."""
     return {
         "schema": RESULT_SCHEMA_VERSION,
         "job_id": job.job.job_id,
-        "status": "deadline",
+        "status": status,
         "ok": False,
-        "conclusive": False,
-        "exhausted_budget": True,
-        "detail": "deadline_ms={} expired while {}".format(job.deadline_ms, where),
-        "error": None,
+        "conclusive": status != "deadline",
+        "exhausted_budget": status == "deadline",
+        "detail": detail,
+        "error": error,
     }
 
 
@@ -160,8 +171,8 @@ class WorkerPool:
         self.isolation = isolation
         self.retry = retry if retry is not None else RetryPolicy()
         self.on_done = on_done
+        self._books = Bookkeeper(self.retry, recorder, "serve.")
         self._threads: List[threading.Thread] = []
-        self._ctx = multiprocessing.get_context("spawn")
         self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------
@@ -205,157 +216,71 @@ class WorkerPool:
                 self._process(item)
             except Exception as exc:  # the pool must survive anything
                 self.recorder.incr("serve.worker_errors")
-                self._settle(
+                self.recorder.incr("serve.failed")
+                self._finish(
                     item,
-                    "error",
-                    {
-                        "schema": RESULT_SCHEMA_VERSION,
-                        "job_id": item.job.job_id,
-                        "status": "error",
-                        "ok": False,
-                        "conclusive": True,
-                        "exhausted_budget": False,
-                        "detail": "serving error: {}: {}".format(
-                            type(exc).__name__, exc
-                        ),
-                        "error": {"type": type(exc).__name__, "message": str(exc)},
-                    },
-                    breaker_counts=False,
+                    _synthetic_result(
+                        item,
+                        "error",
+                        "serving error: {}: {}".format(type(exc).__name__, exc),
+                        {"type": type(exc).__name__, "message": str(exc)},
+                    ),
                 )
 
     # -- one job -------------------------------------------------------
 
-    def _attempt_params(self, job: ServeJob, window_s: Optional[float]) -> Dict[str, Any]:
-        params = dict(job.job.params)
-        params["budget_scale"] = job.budget_scale
-        params["timeout"] = job.timeout_s
-        if window_s is not None:
-            # The remaining deadline caps the in-job budget so the check
-            # degrades to a partial verdict before the watchdog fires.
-            wall = params.get("wall_time")
-            budget_window = max(_MIN_WINDOW_S, window_s * 0.9)
-            params["wall_time"] = (
-                budget_window if wall is None else min(float(wall), budget_window)
-            )
-        return params
-
-    def _run_isolated(self, body: Dict[str, Any], attempt: int, watchdog_s: float):
-        """One spawned attempt; returns (payload_or_None, timed_out)."""
-        queue = self._ctx.SimpleQueue()
-        from repro.runner.worker import worker_main
-
-        process = self._ctx.Process(
-            target=worker_main, args=(body, attempt, queue), daemon=True
-        )
-        process.start()
-        deadline = time.monotonic() + watchdog_s
-        while process.is_alive() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        timed_out = process.is_alive()
-        if timed_out:
-            process.terminate()
-            process.join(_KILL_GRACE_S)
-            if process.is_alive():
-                process.kill()
-                process.join(1.0)
-        else:
-            process.join()
-        payload = None
-        if not timed_out:
-            try:
-                payload = None if queue.empty() else queue.get()
-            except Exception:  # torn pipe write from a dying worker
-                payload = None
-        if hasattr(queue, "close"):
-            queue.close()
-        return payload, timed_out
-
     def _process(self, job: ServeJob) -> None:
         job.state = "running"
+        state = job.progress
         while True:
             remaining = job.remaining_s()
             if remaining is not None and remaining <= 0:
-                self.recorder.incr("serve.deadline_expired")
-                self._settle(
-                    job,
-                    "deadline",
-                    _deadline_result(job, "queued" if job.attempts == 0 else "running"),
-                    breaker_counts=False,
-                )
+                self._expire(job, "queued" if state.attempt == 0 else "running")
                 return
             watchdog = self.timeout_for(job, remaining)
             deadline_bound = remaining is not None and remaining <= watchdog
-            body = job.job.to_dict()
-            body["params"] = self._attempt_params(job, remaining)
+            body = attempt_body(job.job, state.budget_scale, job.timeout_s)
+            if remaining is not None:
+                # The remaining deadline caps the in-job budget so the
+                # check degrades to a partial verdict before the
+                # watchdog fires.
+                params = body["params"]
+                cap = params.get("wall_time")
+                window = max(_MIN_WINDOW_S, remaining * 0.9)
+                params["wall_time"] = window if cap is None else min(float(cap), window)
             started = time.perf_counter()
             if self.isolation:
-                payload, timed_out = self._run_isolated(
-                    body, job.attempts, watchdog
-                )
-                if timed_out:
-                    classification = "timeout"
-                    detail = "watchdog: no result within {:.1f}s".format(watchdog)
-                elif payload is None:
-                    classification = "crash"
-                    detail = "worker exited without a result"
-                else:
-                    classification = classify_payload(job.job.job_id, payload)
-                    detail = payload_detail(payload)
+                payload, timed_out = run_isolated(body, state.attempt, watchdog)
             else:
-                payload = execute_job(Job.from_dict(body))
-                classification = classify_payload(job.job.job_id, payload)
-                detail = payload_detail(payload)
+                payload, timed_out = run_inline(body)
             wall = time.perf_counter() - started
-            job.attempts += 1
-            job.classifications.append(classification)
             self.recorder.merge(
                 {"timers": {"serve.attempt." + job.job.kind: {"total_s": wall, "calls": 1}}}
             )
-            counter = {
-                "crash": "serve.crashes",
-                "timeout": "serve.timeouts",
-                "malformed": "serve.malformed",
-                "budget": "serve.budget_cuts",
-            }.get(classification)
-            if counter is not None:
-                self.recorder.incr(counter)
-            if isinstance(payload, dict) and isinstance(
-                payload.get("telemetry"), dict
-            ):
-                self.recorder.merge(payload["telemetry"])
+            classification, detail = classify_attempt(job.job.job_id, payload, timed_out)
             if classification == "timeout" and deadline_bound:
                 # The deadline, not the service watchdog, killed it: a
                 # partial verdict, not an infrastructure timeout.
-                self.recorder.incr("serve.deadline_expired")
-                self._settle(
-                    job, "deadline", _deadline_result(job, "running"),
-                    breaker_counts=False,
-                )
+                self._books.commit(state, classification, detail, payload, None)
+                self._expire(job, "running")
                 return
-            retryable = (
-                classification in TRANSIENT_CLASSES
-                and job.attempts <= job.max_retries
+            decision = settle(
+                state, classification, detail, payload, self.retry, job.max_retries
             )
-            if retryable:
-                backoff = self.retry.delay(job.attempts - 1)
-                remaining = job.remaining_s()
-                if remaining is not None and backoff + _MIN_WINDOW_S >= remaining:
-                    retryable = False  # no room left to retry inside the deadline
-                else:
-                    if classification == "budget":
-                        job.budget_scale *= 4
-                        self.recorder.incr("serve.budget_escalations")
-                    self.recorder.incr("serve.retries")
-                    self.breakers.breaker(job.job.system).record(classification)
-                    time.sleep(backoff)
-                    continue
-            if not retryable:
-                self._settle(
-                    job,
-                    classification,
-                    self._terminal_result(job, classification, detail, payload),
-                )
-                return
+            if (
+                isinstance(decision, Retry)
+                and remaining is not None
+                and decision.backoff + _MIN_WINDOW_S >= job.remaining_s()
+            ):
+                # No room left to retry inside the deadline.
+                decision = settle(state, classification, detail, payload, self.retry, 0)
+            self._books.commit(state, classification, detail, payload, decision)
+            self.breakers.breaker(job.job.system).record(classification)
+            if isinstance(decision, Retry):
+                time.sleep(decision.backoff)
+                continue
+            self._finish(job, self._result(job, decision.outcome, payload))
+            return
 
     def timeout_for(self, job: ServeJob, remaining: Optional[float]) -> float:
         """The attempt watchdog: the configured per-job timeout, capped
@@ -365,46 +290,32 @@ class WorkerPool:
             return job.timeout_s
         return max(_MIN_WINDOW_S, min(job.timeout_s, remaining))
 
-    def _terminal_result(
-        self, job: ServeJob, classification: str, detail: str, payload
-    ) -> Dict[str, Any]:
-        if isinstance(payload, dict) and classification in (
-            "ok",
-            "verdict",
-            "budget",
-            "error",
-        ):
-            result = {
-                k: v for k, v in payload.items() if k != "telemetry"
-            }
-            result["status"] = classification
+    @staticmethod
+    def _result(job: ServeJob, outcome: JobOutcome, payload) -> Dict[str, Any]:
+        """The client-facing result of a settled job: the worker's own
+        payload when it produced one, else a synthetic one."""
+        if isinstance(payload, dict) and outcome.status in ("ok", "verdict", "budget", "error"):
+            result = {k: v for k, v in payload.items() if k != "telemetry"}
+            result["status"] = outcome.status
             return result
-        return {
-            "schema": RESULT_SCHEMA_VERSION,
-            "job_id": job.job.job_id,
-            "status": classification,
-            "ok": False,
-            "conclusive": classification not in ("budget",),
-            "exhausted_budget": classification == "budget",
-            "detail": detail,
-            "error": None,
-        }
+        return _synthetic_result(job, outcome.status, outcome.detail)
 
-    def _settle(
-        self,
-        job: ServeJob,
-        status: str,
-        result: Dict[str, Any],
-        breaker_counts: bool = True,
-    ) -> None:
-        result.setdefault("status", status)
+    def _expire(self, job: ServeJob, where: str) -> None:
+        """Settle a job whose deadline expired ``where`` (``queued`` or
+        ``running``); never counted against the system's breaker."""
+        self.recorder.incr("serve.deadline_expired")
+        self.recorder.incr("serve.failed")
+        self._finish(
+            job,
+            _synthetic_result(
+                job, "deadline", "deadline_ms={} expired while {}".format(job.deadline_ms, where)
+            ),
+        )
+
+    def _finish(self, job: ServeJob, result: Dict[str, Any]) -> None:
         job.result = result
-        if breaker_counts:
-            self.breakers.breaker(job.job.system).record(status)
         self.journal.done(job.job.job_id, result)
         self.recorder.incr("serve.completed")
-        if not result.get("ok"):
-            self.recorder.incr("serve.failed")
         latency = time.monotonic() - job.submitted_at
         self.recorder.merge(
             {"timers": {"serve.job": {"total_s": latency, "calls": 1}}}

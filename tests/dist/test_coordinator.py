@@ -18,7 +18,7 @@ from repro.dist import (
 )
 from repro.dist import protocol
 from repro.errors import ReproError
-from repro.runner import Supervisor, default_jobs
+from repro.runner import RetryPolicy, Supervisor, default_jobs
 from repro.runner.ledger import Ledger, load_ledger
 from repro.serialize import ledger_entries_from_jsonl
 
@@ -280,6 +280,19 @@ class TestDegradedMode:
             ).run()
         state = load_ledger(ledger_path)
         assert state.complete
+
+    def test_fallback_supervisor_keeps_the_campaign_retry_policy(self):
+        # A degraded run's jitter must still follow --seed: the local
+        # pool retries under the campaign's own policy, not a default.
+        policy = RetryPolicy(max_retries=3, base=0.07, cap=1.5, jitter=0.4, seed=11)
+        coordinator = DistCoordinator(
+            small_jobs(), config_for([("127.0.0.1", 1)]), retry=policy
+        )
+        fallback = coordinator._local_supervisor(coordinator.jobs, write_header=False)
+        fields = ("max_retries", "base", "cap", "jitter", "seed")
+        assert [getattr(fallback.retry, f) for f in fields] == [
+            getattr(policy, f) for f in fields
+        ]
 
 
 class TestCacheSync:

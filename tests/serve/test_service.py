@@ -248,3 +248,29 @@ def test_replay_preserves_finished_results(tmp_path):
     finally:
         second.drain(grace_s=10.0)
         second.journal.close()
+
+
+@pytest.mark.parametrize("max_retries, attempts", [(0, 1), (2, 3)])
+def test_request_max_retries_is_the_retry_allowance(
+    tmp_path, monkeypatch, max_retries, attempts
+):
+    # Every attempt returns garbage (a transient ``malformed``): the
+    # request's own max_retries, not the daemon's policy default,
+    # decides how many attempts it gets.
+    monkeypatch.setattr(
+        "repro.runner.attempts.execute_job", lambda job: ["not", "a", "payload"]
+    )
+    service = make_service(tmp_path)
+    service.start()
+    try:
+        status, body = service.submit(
+            {"kind": "analyze", "system": "rm", "max_retries": max_retries}
+        )
+        assert status == 202
+        doc = wait_done(service, body["job_id"])
+        assert doc["attempts"] == attempts
+        assert doc["classifications"] == ["malformed"] * attempts
+        assert doc["result"]["status"] == "malformed"
+    finally:
+        service.drain(grace_s=10.0)
+        service.journal.close()
