@@ -2,10 +2,10 @@
 
 A strong possibilities mapping *proves* that every timed execution of
 ``(A, U)`` satisfies the conditions ``V``.  This module checks that
-statement directly — no mapping involved — by enumerating all grid
+statement directly — no mapping involved — by enumerating the grid
 executions of ``time(A, U)`` and testing each projection against ``V``
 (Definition 3.1's semi-satisfaction, the right reading for finite
-prefixes).
+prefixes), up to histories that no later event can tell apart.
 
 This is the ground truth the mapping method is sound against; the test
 suite confirms the two verdicts agree on correct systems *and* on
@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Hashable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.timed.conditions import TimingCondition
-from repro.timed.satisfaction import Violation, find_condition_violation
+from repro.timed.satisfaction import SemiSatisfactionMonitor, Violation
 from repro.timed.timed_sequence import TimedSequence
 from repro.core.discretize import discrete_options
-from repro.core.projection import project
 from repro.core.time_automaton import PredictiveTimeAutomaton
+from repro.core.time_state import TimeState
 
 __all__ = ["InclusionOutcome", "check_semantic_inclusion"]
 
@@ -53,45 +53,85 @@ def check_semantic_inclusion(
     """Check that the projection of every grid execution of ``source``
     semi-satisfies every condition in ``conditions``.
 
-    Explores the execution *tree* (not the state graph): satisfaction is
-    a property of whole histories, so two different paths into the same
-    state still need their own checks.  Violations come back with the
-    offending projected sequence.
+    Satisfaction is a property of whole histories, but by Lemma 3.2 the
+    part of a history that later events can still refute is a bounded
+    summary: per condition, the earliest open upper deadline and the
+    latest open lower threshold (the ``Lt`` and ``Ft`` that
+    ``time(A, V)`` would carry; a
+    :class:`~repro.timed.satisfaction.SemiSatisfactionMonitor` tracks
+    them one event at a time).  So the search runs breadth-first over
+    the product of ``time(A, U)`` states and those summaries, not over
+    the execution tree.  An extension is checked, but not explored
+    further, when its product state has already been enqueued: its
+    successors depend only on the ``TimeState`` and its future verdicts
+    only on the summary.  Breadth-first order makes the first violation
+    found the same one a walk of the whole tree would find first, so
+    ``ok``, ``violation`` and ``counterexample`` do not depend on the
+    pruning.
 
-    Incremental pruning keeps this tractable: since semi-satisfaction is
-    prefix-monotone for the safety clauses, each extension is only
-    checked once, at the step where it appears.
+    ``executions_checked`` counts the product nodes explored: every
+    start state and every one-step extension of an explored node is
+    checked once, including the extensions then skipped as already
+    enqueued.  ``max_executions`` caps it.  Violations come back with
+    the offending projected sequence, rebuilt from parent pointers.
     """
+    conditions = tuple(conditions)
     checked = 0
-    truncated = False
+    seen = set()
     frontier: deque = deque()
     for start in source.start_states():
-        run = TimedSequence.initial(start)
-        violation = _first_violation(project(run), conditions)
-        if violation is not None:
-            return InclusionOutcome(False, 1, False, violation, project(run))
-        frontier.append(run)
+        monitor = SemiSatisfactionMonitor.start(conditions, start.astate)
         checked += 1
+        key = (start, monitor.key)
+        if key not in seen:
+            seen.add(key)
+            frontier.append(_Node(start, monitor, None, None))
     while frontier:
-        run = frontier.popleft()
-        state = run.last_state
+        node = frontier.popleft()
+        state = node.state
         for action, t in discrete_options(source, state, grid, horizon):
             for post in source.successors(state, action, t):
-                extended = run.extend(action, t, post)
+                monitor, violation = node.monitor.advance(
+                    state.astate, action, t, post.astate
+                )
                 checked += 1
-                projected = project(extended)
-                violation = _first_violation(projected, conditions)
                 if violation is not None:
-                    return InclusionOutcome(False, checked, truncated, violation, projected)
+                    return InclusionOutcome(
+                        False,
+                        checked,
+                        False,
+                        violation,
+                        _projected_path(node, (action, t), post),
+                    )
                 if checked >= max_executions:
                     return InclusionOutcome(True, checked, True)
-                frontier.append(extended)
-    return InclusionOutcome(True, checked, truncated)
+                key = (post, monitor.key)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(_Node(post, monitor, node, (action, t)))
+    return InclusionOutcome(True, checked, False)
 
 
-def _first_violation(seq: TimedSequence, conditions) -> Optional[Violation]:
-    for condition in conditions:
-        violation = find_condition_violation(seq, condition, semi=True)
-        if violation is not None:
-            return violation
-    return None
+class _Node(NamedTuple):
+    """A product node: its ``time(A, U)`` state, the monitor of the path
+    into it, and the parent and ``(action, time)`` event it came by."""
+
+    state: TimeState
+    monitor: SemiSatisfactionMonitor
+    parent: Optional["_Node"]
+    event: Optional[Tuple[Hashable, object]]
+
+
+def _projected_path(node: _Node, event, post: TimeState) -> TimedSequence:
+    """``project`` of the execution from a start state into ``node``,
+    extended by ``event`` into ``post``."""
+    states = [post.astate]
+    events = [event]
+    while node is not None:
+        states.append(node.state.astate)
+        if node.event is not None:
+            events.append(node.event)
+        node = node.parent
+    states.reverse()
+    events.reverse()
+    return TimedSequence(states, events)

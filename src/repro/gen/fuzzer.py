@@ -64,7 +64,7 @@ _WIDTH_MENU = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
 #: How claims are derived from the anchor window.
 _CLAIM_KINDS = ("exact", "widen", "tighten", "shift")
 
-#: Execution-tree cap for the semantic leg; an instance that truncates
+#: Product-node cap for the semantic leg; an instance that truncates
 #: both exhaustive legs is counted, not compared.
 _MAX_EXECUTIONS = 150_000
 
@@ -323,6 +323,7 @@ class FuzzReport:
             "count": self.count,
             "ok": self.ok,
             "detail": self.detail,
+            "truncated_legs": self.truncated_legs,
             "disagreements": [inst.to_dict() for inst in self.disagreements],
         }
 

@@ -8,8 +8,9 @@ attempts; this module is the only one that knows what an attempt
 and a counter prefix (``runner.``, ``dist.``, ``serve.``):
 
 1. :func:`attempt_body` — the job body one attempt runs;
-2. :func:`run_isolated` (:func:`spawn_attempt` + :func:`collect` for a
-   caller that polls) or :func:`run_inline` — run it;
+2. :func:`run_isolated` (:func:`spawn_attempt`, :func:`attempt_ready`
+   and :func:`collect` for a caller that polls) or :func:`run_inline`
+   — run it;
 3. :func:`classify_attempt` — a class of
    :data:`~repro.runner.report.FAILURE_CLASSES` plus a one-line detail;
 4. :func:`settle` — the transition: :class:`Retry` while a transient
@@ -42,6 +43,7 @@ __all__ = [
     "settle",
     "take_eligible",
     "spawn_attempt",
+    "attempt_ready",
     "collect",
     "run_isolated",
     "run_inline",
@@ -49,6 +51,9 @@ __all__ = [
 
 #: Seconds a killed attempt gets to exit on SIGTERM before SIGKILL.
 KILL_GRACE_S = 0.5
+
+#: Seconds a worker that delivered its payload gets to exit on its own.
+EXIT_GRACE_S = 5.0
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -348,7 +353,8 @@ class Bookkeeper:
 
 def spawn_attempt(body: Dict[str, Any], attempt: int):
     """Start one attempt in a fresh interpreter (``multiprocessing``
-    *spawn*): returns ``(process, queue)`` for :func:`collect`."""
+    *spawn*): returns ``(process, queue)`` for :func:`attempt_ready`
+    and :func:`collect`."""
     from repro.runner.worker import worker_main
 
     queue = _SPAWN.SimpleQueue()
@@ -356,25 +362,45 @@ def spawn_attempt(body: Dict[str, Any], attempt: int):
         target=worker_main, args=(body, attempt, queue), daemon=True
     )
     process.start()
+    # The child holds its own copy of the write end.  Dropping ours
+    # turns a worker that dies mid-payload into EOF instead of a read
+    # that waits forever for the rest of the message.
+    queue._writer.close()
     return process, queue
 
 
+def attempt_ready(process, queue, timeout: float = 0.0) -> bool:
+    """True once the attempt has exited or started writing its payload,
+    waiting up to ``timeout`` seconds.
+
+    The payload must be read before the process is joined: a payload
+    larger than the pipe buffer blocks the worker in ``put`` until
+    someone reads it, so waiting for the exit alone would stall it
+    until the watchdog fires.
+    """
+    from multiprocessing.connection import wait
+
+    return bool(wait([process.sentinel, queue._reader], timeout))
+
+
 def collect(process, queue, timed_out: bool) -> Optional[Dict[str, Any]]:
-    """Reap a spawned attempt: kill it when ``timed_out``, otherwise
-    read its payload (``None`` when it died without one)."""
+    """Reap a spawned attempt that is ready (:func:`attempt_ready`) or
+    overdue: unless ``timed_out``, read its payload first (``None``
+    when it died without one), then end the process, killing it when
+    it does not exit on its own."""
     payload = None
-    if timed_out:
+    if not timed_out:
+        try:
+            payload = None if queue.empty() else queue.get()
+        except Exception:  # torn pipe write from a dying worker
+            payload = None
+        process.join(EXIT_GRACE_S)  # a worker exits right after its put
+    if process.is_alive():
         process.terminate()
         process.join(KILL_GRACE_S)
         if process.is_alive():
             process.kill()
             process.join(1.0)
-    else:
-        process.join()
-        try:
-            payload = None if queue.empty() else queue.get()
-        except Exception:  # torn pipe write from a dying worker
-            payload = None
     queue.close()
     return payload
 
@@ -383,8 +409,7 @@ def run_isolated(body: Dict[str, Any], attempt: int, watchdog_s: float):
     """One spawned attempt under a ``watchdog_s`` watchdog: returns
     ``(payload_or_None, timed_out)``."""
     process, queue = spawn_attempt(body, attempt)
-    process.join(watchdog_s)
-    timed_out = process.is_alive()
+    timed_out = not attempt_ready(process, queue, watchdog_s)
     return collect(process, queue, timed_out), timed_out
 
 

@@ -41,6 +41,7 @@ from repro.runner.attempts import (
     RetryPolicy,
     Terminal,
     attempt_body,
+    attempt_ready,
     collect,
     run_inline,
     spawn_attempt,
@@ -229,7 +230,7 @@ class Supervisor:
                         continue
                 reaped = False
                 for entry in list(running):
-                    finished = not entry.process.is_alive()
+                    finished = attempt_ready(entry.process, entry.queue)
                     overdue = not finished and time.monotonic() >= entry.deadline
                     if finished or overdue:
                         running.remove(entry)

@@ -9,6 +9,7 @@ from repro.timed.boundmap import Boundmap, TimedAutomaton
 from repro.timed.conditions import TimingCondition, boundmap_conditions, cond_of_class
 from repro.timed.interval import INFINITY, Interval, as_exact
 from repro.timed.satisfaction import (
+    SemiSatisfactionMonitor,
     Violation,
     find_boundmap_violation,
     find_condition_violation,
@@ -44,6 +45,7 @@ __all__ = [
     "satisfies_all",
     "semi_satisfies_all",
     "find_condition_violation",
+    "SemiSatisfactionMonitor",
     "find_boundmap_violation",
     "is_timed_execution",
     "is_timed_semi_execution",

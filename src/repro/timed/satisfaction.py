@@ -6,7 +6,9 @@ Implements, directly from the paper:
 - Definition 2.2 — ``α`` satisfies a timing condition;
 - Definition 3.1 — ``α`` *semi-satisfies* a timing condition (the
   safety-only reading for finite prefixes, where an upper bound is
-  excused if insufficient time has passed).
+  excused if insufficient time has passed), both over a whole prefix
+  (:func:`find_condition_violation`, the reference) and one event at a
+  time (:class:`SemiSatisfactionMonitor`).
 
 All checkers return a :class:`Violation` (or None) so tests and
 diagnostics can point at the exact failing clause.
@@ -27,6 +29,7 @@ from repro.timed.timed_sequence import TimedSequence
 __all__ = [
     "Violation",
     "find_condition_violation",
+    "SemiSatisfactionMonitor",
     "satisfies",
     "semi_satisfies",
     "find_boundmap_violation",
@@ -148,6 +151,136 @@ def find_condition_violation(
         if violation is not None:
             return violation
     return None
+
+
+class SemiSatisfactionMonitor:
+    """Definition 3.1 checked one event at a time, for a tuple of
+    conditions.
+
+    Feeding the events of ``seq`` to :meth:`start` / :meth:`advance`
+    reports, at each step, exactly the :class:`Violation` that
+    :func:`semi_satisfies_all` reports on that prefix (same condition,
+    clause, origin and detail), and raises the same
+    :class:`~repro.errors.TimingConditionError` at the same step.
+    Monitors are immutable, so sibling extensions share their parent.
+
+    Per condition it keeps only the obligations a later event can still
+    break:
+
+    - the *first* open upper obligation ``(origin, deadline)`` since the
+      last ``Π``/``S`` step.  All open upper obligations end at the same
+      future ``Π``/``S`` step, and deadlines grow with the origin, so
+      the first one is the earliest to expire and the one the reference
+      reports;
+    - the open lower obligations ``(origin, threshold)`` since the last
+      disabling state whose threshold is still in the future, in origin
+      (hence threshold) order.
+
+    Each :meth:`advance` costs O(open obligations).
+    """
+
+    __slots__ = ("conditions", "length", "_upper", "_lower")
+
+    def __init__(self, conditions, length, upper, lower):
+        self.conditions: Tuple[TimingCondition, ...] = conditions
+        #: Number of events seen so far (the index of the last event).
+        self.length: int = length
+        self._upper = upper
+        self._lower = lower
+
+    @classmethod
+    def start(
+        cls, conditions: Sequence[TimingCondition], state: Hashable
+    ) -> "SemiSatisfactionMonitor":
+        """The monitor of the event-free sequence sitting in ``state``.
+
+        An event-free prefix never violates Definition 3.1, but a
+        ``T_start`` state that also disables raises here.
+        """
+        conditions = tuple(conditions)
+        upper = []
+        lower = []
+        for condition in conditions:
+            first = None
+            opened = ()
+            if condition.starts(state):
+                condition.check_start_state(state)
+                if condition.interval.is_upper_bounded:
+                    first = (0, 0 + condition.upper)
+                if condition.lower != 0:
+                    opened = ((0, 0 + condition.lower),)
+            upper.append(first)
+            lower.append(opened)
+        return cls(conditions, 0, tuple(upper), tuple(lower))
+
+    @property
+    def key(self) -> Tuple:
+        """What every future verdict depends on, per condition: the
+        earliest open deadline and the latest open threshold."""
+        return tuple(
+            (None if first is None else first[1], opened[-1][1] if opened else None)
+            for first, opened in zip(self._upper, self._lower)
+        )
+
+    def advance(
+        self, pre: Hashable, action: Hashable, time, post: Hashable
+    ) -> Tuple[Optional["SemiSatisfactionMonitor"], Optional[Violation]]:
+        """Append the step ``(pre, (action, time), post)``.
+
+        Returns ``(monitor, None)`` for the extended prefix, or
+        ``(None, violation)`` when the extended prefix no longer
+        semi-satisfies some condition.
+        """
+        index = self.length + 1
+        upper = []
+        lower = []
+        for condition, first, opened in zip(self.conditions, self._upper, self._lower):
+            in_pi = condition.in_pi(action)
+            disables = condition.disables(post)
+            violation = None
+            if first is not None and not time <= first[1]:
+                origin, deadline = first
+                if in_pi or disables:
+                    detail = (
+                        "first Π/S occurrence at index {} has time {!r} > deadline "
+                        "{!r}".format(index, time, deadline)
+                    )
+                else:
+                    detail = (
+                        "no Π action or S state by the deadline {!r} (t_end = "
+                        "{!r})".format(deadline, time)
+                    )
+                violation = Violation(condition.name, "upper", origin, detail)
+            # Thresholds grow with the origin: the reached ones are a prefix.
+            expired = 0
+            while expired < len(opened) and time >= opened[expired][1]:
+                expired += 1
+            opened = opened[expired:]
+            if opened and in_pi:
+                origin, threshold = opened[0]
+                if violation is None or origin < violation.origin_index:
+                    violation = Violation(
+                        condition.name,
+                        "lower",
+                        origin,
+                        "Π action {!r} at index {} occurs at time {!r} < {!r} with no "
+                        "intervening disabling state".format(action, index, time, threshold),
+                    )
+            if violation is not None:
+                return None, violation
+            if in_pi or disables:
+                first = None
+            if disables:
+                opened = ()
+            if condition.triggers(pre, action, post):
+                condition.check_trigger_step(pre, action, post)
+                if first is None and condition.interval.is_upper_bounded:
+                    first = (index, time + condition.upper)
+                if condition.lower != 0:
+                    opened = opened + ((index, time + condition.lower),)
+            upper.append(first)
+            lower.append(opened)
+        return SemiSatisfactionMonitor(self.conditions, index, tuple(upper), tuple(lower)), None
 
 
 def satisfies(seq: TimedSequence, condition: TimingCondition) -> bool:

@@ -33,6 +33,7 @@ class TestInclusionHolds:
             max_executions=20_000,
         )
         assert outcome.ok, outcome.violation
+        assert not outcome.truncated
         assert outcome.executions_checked > 50
 
     def test_pulse_gap_holds(self):
@@ -80,11 +81,12 @@ class TestAgreementWithMappingMethod:
         system = small_rm()
         mapping = resource_manager_mapping(system)
         mapping_ok = check_mapping_exhaustive(mapping, grid=F(1), horizon=F(8)).ok
-        semantic_ok = check_semantic_inclusion(
+        semantic = check_semantic_inclusion(
             system.algorithm, [system.g1, system.g2], grid=F(1), horizon=F(5),
             max_executions=20_000,
-        ).ok
-        assert mapping_ok and semantic_ok
+        )
+        assert not semantic.truncated
+        assert mapping_ok and semantic.ok
 
     def test_wrong_bound_agrees(self):
         # A requirements bound whose upper end is too small: semantic

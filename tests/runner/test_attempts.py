@@ -269,3 +269,37 @@ def test_reassignments_do_not_stretch_the_payload_backoff(tmp_path):
     assert [e["backoff"] for e in attempts[:2]] == [None, None]  # host losses
     assert attempts[2]["detail"] == "worker exited without a result"
     assert 0.05 <= attempts[2]["backoff"] <= 0.05 * 1.25
+
+
+class TestLargePayloads:
+    """A payload far larger than the pipe buffer (~64 KB) must be read
+    while the worker is still writing it; joining first would leave the
+    worker blocked in ``put`` until the watchdog classified the attempt
+    as a timeout."""
+
+    #: ``execute_job`` echoes the job id into its payload.
+    BIG_ID = "fuzz:large:" + "x" * (1 << 20)
+
+    def big_job(self):
+        return Job(
+            job_id=self.BIG_ID,
+            kind="fuzz",
+            system="gen",
+            params={"count": 1, "seed": 0, "cache": False},
+        )
+
+    def test_run_isolated_reads_a_megabyte_payload(self):
+        from repro.runner.attempts import run_isolated
+
+        payload, timed_out = run_isolated(self.big_job().to_dict(), 0, watchdog_s=30.0)
+        assert not timed_out
+        assert payload["job_id"] == self.BIG_ID and payload["ok"]
+        assert classify_attempt(self.BIG_ID, payload, False)[0] == "ok"
+
+    def test_supervisor_settles_a_megabyte_payload_ok(self):
+        report = Supervisor(
+            [self.big_job()], workers=1, timeout=30.0, retry=RetryPolicy(max_retries=0)
+        ).run()
+        (outcome,) = report.outcomes
+        assert outcome.status == "ok", outcome.detail
+        assert outcome.attempts == 1

@@ -51,9 +51,11 @@ def mapping_verdict(timed, claim: Interval) -> bool:
 def semantic_verdict(timed, claim: Interval) -> bool:
     algorithm = time_of_boundmap(timed)
     gap = TimingCondition.after_action("GAP", claim, "fire", {"fire"})
-    return check_semantic_inclusion(
+    outcome = check_semantic_inclusion(
         algorithm, [gap], grid=F(1, 2), horizon=F(12), max_executions=60_000
-    ).ok
+    )
+    assert not outcome.truncated, "a truncated clean sweep decides nothing"
+    return outcome.ok
 
 
 def zone_verdict(timed, claim: Interval) -> bool:
