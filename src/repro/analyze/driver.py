@@ -24,7 +24,6 @@ from repro.lint.diagnostics import LintReport
 # The waiver semantics must match the lint driver exactly, so the
 # private helpers are shared rather than reimplemented.
 from repro.lint.driver import _apply_waivers, _run
-from repro.lint.registry import ruleset_version
 from repro.analyze.composition import DerivedBound, closed_form_tolerance, derived_bounds
 from repro.analyze.interference import InterferenceContext
 from repro.analyze.obligations import (
@@ -292,12 +291,11 @@ def record_proved_mappings(cache, report: AnalyzeReport) -> List[str]:
     labels = _proved_labels(report)
     if cache is None:
         return labels
-    version = ruleset_version()
     for label in labels:
         cache.store(
             _CACHE_KIND,
             report.system,
-            {"mapping": label, "ruleset": version},
+            {"mapping": label},
             {
                 "ok": True,
                 "system": report.system,
@@ -313,14 +311,12 @@ def record_proved_mappings(cache, report: AnalyzeReport) -> List[str]:
 
 
 def lookup_static_mapping(cache, system: str, label: str) -> Optional[Dict[str, Any]]:
-    """The cached static proof for one mapping, if any.  The key folds
-    in the rule-set version and (via the cache fingerprint) the package
-    source, so a stale proof is unreachable."""
+    """The cached static proof for one mapping, if any.  The key's
+    closure fingerprint covers the analyzer, every rule module and the
+    system's own source, so a stale proof is unreachable."""
     if cache is None:
         return None
-    hit = cache.lookup(
-        _CACHE_KIND, system, {"mapping": label, "ruleset": ruleset_version()}
-    )
+    hit = cache.lookup(_CACHE_KIND, system, {"mapping": label})
     if hit and hit.get("ok") and hit.get("mapping") == label:
         return hit
     return None

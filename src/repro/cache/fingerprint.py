@@ -64,13 +64,18 @@ __all__ = [
 
 #: Bump to invalidate every cached verdict without touching source.
 #: v2: flat-matrix zone engine + dependency-closure fingerprints.
-ENGINE_VERSION = 2
+#: v3: ``check`` no longer stores truncated explorations as conclusive
+#: FAILs; lint/analyze keys drop their rule-set part.
+ENGINE_VERSION = 3
 
 #: ``kind -> package-relative module/package roots`` of the computation
 #: that produces the verdict.  A root naming a package pulls in every
 #: module under it.  Kinds absent here fall back to the whole package.
 KIND_ROOTS: Dict[str, Tuple[str, ...]] = {
-    "lint": ("lint",),
+    # Every module that registers a rule keys the rule-backed kinds, so
+    # a new or edited rule invalidates their verdicts; the interference
+    # rules (R015+) live in ``analyze`` but share the lint registry.
+    "lint": ("lint", "analyze.interference"),
     "analyze": ("analyze",),
     "analyze-mapping": ("analyze",),
     "check": ("analyze", "core", "faults", "ioa", "par.surface"),
@@ -239,54 +244,40 @@ def _scan(root: str) -> _Scan:
     return scan
 
 
-#: Lines that can *start* an import statement (indentation included:
-#: lazy in-function imports count — they still affect behaviour).
-_IMPORT_LINE = re.compile(rb"^\s*(?:from|import)\s")
+#: One import statement starting a line (indentation included: lazy
+#: in-function imports count — they still affect behaviour), with its
+#: parenthesised or backslash-continued tail.  The leading newline is a
+#: literal the regex engine can scan for; the source gets one prepended
+#: so its first line matches too.
+_IMPORT_STATEMENT = re.compile(
+    rb"\n[ \t\f]*(?:from|import)[ \t](?:[^\n(\\]+|\\(?:\r?\n|.)|\([^)]*\))*"
+)
 
 
 def _import_tree(source: bytes, path: str) -> Optional[ast.Module]:
     """The module's import statements as a (tiny) parsed AST.
 
     Parsing whole files just to read their imports costs ~0.4s over
-    the package — 100x the hashing itself — so candidate lines are
-    sliced out lexically first (an ``import``/``from`` line plus its
-    parenthesised or backslash continuations) and only those are
-    parsed.  A docstring line that merely *looks* like an import
-    either parses (adding a phantom edge — sound, closures only grow)
-    or fails, which demotes the module to a full parse: lexical
-    shortcuts can only ever widen a closure, never drop a real import.
+    the package — 100x the hashing itself — so the statements are
+    matched lexically first (one regex pass per file) and parsed
+    together in one small module.  A docstring line that merely
+    *looks* like an import either parses (adding a phantom edge —
+    sound, closures only grow) or fails, which demotes the module to a
+    full parse: the lexical shortcut can only ever widen a closure,
+    never drop a real import.
     """
-    statements = []
-    lines = source.splitlines()
-    index, total = 0, len(lines)
-    while index < total:
-        line = lines[index]
-        index += 1
-        if not _IMPORT_LINE.match(line):
-            continue
-        statement = [line.strip()]
-        depth = line.count(b"(") - line.count(b")")
-        while (depth > 0 or statement[-1].endswith(b"\\")) and index < total:
-            if statement[-1].endswith(b"\\"):
-                statement[-1] = statement[-1][:-1]
-            extra = lines[index]
-            index += 1
-            depth += extra.count(b"(") - extra.count(b")")
-            statement.append(extra.strip())
-        statements.append(b" ".join(statement))
-    nodes = []
-    for statement in statements:
+    statements = b"\n".join(
+        statement.lstrip() for statement in _IMPORT_STATEMENT.findall(b"\n" + source)
+    )
+    try:
+        return ast.parse(statements.decode("utf-8", "replace"))
+    except SyntaxError:
+        # Not actually an import (docstring text, broken match):
+        # re-parse the whole module rather than risk dropping one.
         try:
-            parsed = ast.parse(statement.decode("utf-8", "replace"))
+            return ast.parse(source, filename=path)
         except SyntaxError:
-            # Not actually an import (docstring text, broken slice):
-            # re-parse the whole module rather than risk dropping one.
-            try:
-                return ast.parse(source, filename=path)
-            except SyntaxError:
-                return None
-        nodes.extend(parsed.body)
-    return ast.Module(body=nodes, type_ignores=[])
+            return None
 
 
 def _collect_edges(scan: _Scan, name: str, tree: ast.AST) -> None:

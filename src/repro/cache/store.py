@@ -24,7 +24,6 @@ Environment: ``REPRO_CACHE=0`` disables the cache process-wide;
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Any, Dict, Optional
 
 from repro.cache.fingerprint import verdict_key
@@ -104,6 +103,8 @@ class DirBackend:
             return None
 
     def put(self, key: str, text: str) -> None:
+        import tempfile  # only writers need it; a warm hit never does
+
         path = self._path(key)
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -29,40 +29,21 @@ job failed *unexpectedly* (deliberately-broken systems like
 ``fischer-tight`` count as expected findings, except under an explicit
 ``--epsilon`` probe whose exit code reports the raw verdict);
 2 — argparse usage errors.
+
+This module imports only the standard library, :mod:`repro.catalog`
+and, per command, what that command uses: ``repro --help`` and a warm
+verdict-cache hit load no engine.  The ``lint``, ``analyze`` and
+``check`` commands import their engines only on a cache miss.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from repro.analysis.bounds import BoundsAccumulator, gaps, occurrence_times, separations_after
-from repro.analysis.report import Table
-from repro.analysis.timeline import render_timeline
-from repro.core import check_chain_on_run, check_mapping_on_run, project, undum
-from repro.sim import Simulator, UniformStrategy
-from repro.sim.trace import timed_behavior_of_run
-from repro.systems import (
-    GRANT,
-    SIGNAL,
-    RelayParams,
-    RelaySystem,
-    ResourceManagerParams,
-    ResourceManagerSystem,
-    relay_hierarchy,
-    resource_manager,
-    resource_manager_mapping,
-    signal_relay,
-)
-from repro.timed import Interval
-from repro.zones import (
-    absolute_event_bounds,
-    event_separation_bounds,
-    verify_event_condition,
-)
+from repro import catalog
 
 __all__ = ["main"]
 
@@ -145,18 +126,22 @@ def _with_gen_parts(name: str, parts: dict) -> dict:
     """Fold (family, params, GEN_VERSION) into a verdict-cache key for
     generated systems: bumping the generator must orphan their verdicts
     even when the package source is otherwise untouched."""
-    from repro.gen import cache_parts, is_gen_name
+    if name.startswith(catalog.GEN_PREFIX):
+        from repro.gen import cache_parts
 
-    if is_gen_name(name):
         parts.update(cache_parts(name))
     return parts
 
 
-def _rm_params(args) -> ResourceManagerParams:
+def _rm_params(args):
+    from repro.systems import ResourceManagerParams
+
     return ResourceManagerParams(k=args.k, c1=args.c1, c2=args.c2, l=args.l)
 
 
-def _relay_params(args) -> RelayParams:
+def _relay_params(args):
+    from repro.systems import RelayParams
+
     return RelayParams(n=args.n, d1=args.d1, d2=args.d2)
 
 
@@ -185,10 +170,8 @@ def _add_sim_arguments(parser) -> None:
 
 
 def _add_engine_arguments(parser) -> None:
-    from repro.par.engine import ENGINE_KINDS
-
     parser.add_argument(
-        "--engine", choices=list(ENGINE_KINDS), default=None,
+        "--engine", choices=list(catalog.ENGINE_KINDS), default=None,
         help="verification engine (default: serial; parallel is "
              "byte-identical, just faster on multi-core machines)",
     )
@@ -229,6 +212,15 @@ def _print_cache_stats(cache) -> None:
 
 
 def cmd_rm(args) -> int:
+    import random
+
+    from repro.analysis.bounds import BoundsAccumulator, gaps, occurrence_times
+    from repro.analysis.report import Table
+    from repro.core import check_mapping_on_run
+    from repro.sim import Simulator, UniformStrategy
+    from repro.sim.trace import timed_behavior_of_run
+    from repro.systems import GRANT, ResourceManagerSystem, resource_manager_mapping
+
     params = _rm_params(args)
     system = ResourceManagerSystem(params)
     mapping = resource_manager_mapping(system)
@@ -258,6 +250,14 @@ def cmd_rm(args) -> int:
 
 
 def cmd_relay(args) -> int:
+    import random
+
+    from repro.analysis.bounds import BoundsAccumulator, separations_after
+    from repro.analysis.report import Table
+    from repro.core import check_chain_on_run, project, undum
+    from repro.sim import Simulator, UniformStrategy
+    from repro.systems import SIGNAL, RelaySystem, relay_hierarchy
+
     params = _relay_params(args)
     system = RelaySystem(params)
     chain = relay_hierarchy(system)
@@ -280,6 +280,10 @@ def cmd_relay(args) -> int:
 
 
 def cmd_zones(args) -> int:
+    from repro.analysis.report import Table
+    from repro.systems import GRANT, SIGNAL, resource_manager, signal_relay
+    from repro.zones import absolute_event_bounds, event_separation_bounds
+
     table = Table("exact bounds (zone reachability)", [
         "quantity", "paper", "exact", "tight",
     ])
@@ -304,6 +308,10 @@ def cmd_zones(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from repro.systems import GRANT, SIGNAL, resource_manager, signal_relay
+    from repro.timed import Interval
+    from repro.zones import verify_event_condition
+
     claimed = Interval(args.lo, args.hi)
     if args.system == "rm":
         params = _rm_params(args)
@@ -325,6 +333,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    import random
+
+    from repro.analysis.timeline import render_timeline
+    from repro.sim import Simulator, UniformStrategy
+    from repro.systems import RelaySystem, ResourceManagerSystem
+
     if args.system == "rm":
         system = ResourceManagerSystem(_rm_params(args))
         automaton = system.algorithm
@@ -342,6 +356,10 @@ def _seeded_safety_runs(automaton, predicate, seed: int, runs: int, steps: int) 
     """Simulate ``runs`` seeded UniformStrategy runs and count states
     violating ``predicate`` — the reproducible-from-the-CLI complement
     to the exact zone verdict."""
+    import random
+
+    from repro.sim import Simulator, UniformStrategy
+
     violations = 0
     for offset in range(runs):
         run = Simulator(automaton, UniformStrategy(random.Random(seed + offset))).run(
@@ -443,42 +461,43 @@ def cmd_peterson(args) -> int:
     return 0 if (bad is None and agree and not violations) else 1
 
 
-def cmd_lint(args) -> int:
-    from repro.lint import build_target, lint_system, system_names
-    from repro.lint.registry import ruleset_version
+def _lint_entry(name: str, args) -> dict:
+    """Lint one system: the cache entry a miss computes and stores."""
+    from repro.lint import build_target, lint_system
 
-    names = list(system_names()) if args.system == "all" else [args.system]
+    with _engine_scope(args):
+        report = lint_system(build_target(name), max_states=args.max_states)
+    return {
+        "system": name,
+        "diagnostics": report.to_dicts(),
+        "summary": report.summary(),
+        "fails": {
+            "default": report.fails(strict=False),
+            "strict": report.fails(strict=True),
+        },
+        "rendered": report.render(),
+    }
+
+
+def cmd_lint(args) -> int:
+    names = list(catalog.LINT_SYSTEMS) if args.system == "all" else [args.system]
     cache = _cli_cache(args)
     entries = []
     failed = False
-    with _engine_scope(args):
-        # The rule-set version keys the cache: adding a rule must
-        # invalidate previously-clean verdicts, not serve them stale.
-        version = ruleset_version()
-        for name in names:
-            parts = _with_gen_parts(
-                name, {"max_states": args.max_states, "ruleset": version}
-            )
-            entry = None if cache is None else cache.lookup("lint", name, parts)
-            cached = entry is not None
-            if entry is None:
-                report = lint_system(build_target(name), max_states=args.max_states)
-                entry = {
-                    "system": name,
-                    "diagnostics": report.to_dicts(),
-                    "summary": report.summary(),
-                    "fails": {
-                        "default": report.fails(strict=False),
-                        "strict": report.fails(strict=True),
-                    },
-                    "rendered": report.render(),
-                }
-                if cache is not None:
-                    cache.store("lint", name, parts, entry)
-            entry = dict(entry)
-            entry["cached"] = cached
-            failed = failed or entry["fails"]["strict" if args.strict else "default"]
-            entries.append(entry)
+    for name in names:
+        # The rule set needs no key part of its own: every module that
+        # registers a rule is in the lint closure fingerprint.
+        parts = _with_gen_parts(name, {"max_states": args.max_states})
+        entry = None if cache is None else cache.lookup("lint", name, parts)
+        cached = entry is not None
+        if entry is None:
+            entry = _lint_entry(name, args)
+            if cache is not None:
+                cache.store("lint", name, parts, entry)
+        entry = dict(entry)
+        entry["cached"] = cached
+        failed = failed or entry["fails"]["strict" if args.strict else "default"]
+        entries.append(entry)
     if args.json:
         import json as _json
 
@@ -497,37 +516,41 @@ def cmd_lint(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_analyze(args) -> int:
-    from repro.analyze import analyze_names, analyze_system, record_proved_mappings
-    from repro.lint.registry import ruleset_version
+def _analyze_entry(name: str, args, cache) -> dict:
+    """Analyze one system: the cache entry a miss computes and stores."""
+    from repro.analyze import analyze_system, record_proved_mappings
 
-    names = list(analyze_names()) if args.system == "all" else [args.system]
+    with _engine_scope(args):
+        report = analyze_system(name)
+    # Fully-proved mappings become cache entries that let a warm
+    # `repro check` skip their exhaustive sweeps.
+    record_proved_mappings(cache, report)
+    entry = report.to_dict()
+    entry["rendered"] = report.render()
+    return entry
+
+
+def cmd_analyze(args) -> int:
+    names = list(catalog.SURFACE_SYSTEMS) if args.system == "all" else [args.system]
     cache = _cli_cache(args)
     entries = []
     failed = False
-    with _engine_scope(args):
-        version = ruleset_version()
-        for name in names:
-            parts = _with_gen_parts(name, {"ruleset": version})
-            entry = None if cache is None else cache.lookup("analyze", name, parts)
-            cached = entry is not None
-            if entry is None:
-                report = analyze_system(name)
-                # Fully-proved mappings become cache entries that let a
-                # warm `repro check` skip their exhaustive sweeps.
-                record_proved_mappings(cache, report)
-                entry = report.to_dict()
-                entry["rendered"] = report.render()
-                if cache is not None:
-                    cache.store("analyze", name, parts, entry)
-            entry = dict(entry)
-            entry["cached"] = cached
-            fail_flag = entry["fails"]["strict" if args.strict else "default"]
-            # Expected-broken systems (fischer-tight) must be refuted:
-            # only a verdict/expectation mismatch fails the command.
-            unexpected = fail_flag == (not entry["expected_broken"])
-            failed = failed or unexpected
-            entries.append(entry)
+    for name in names:
+        parts = _with_gen_parts(name, {})
+        entry = None if cache is None else cache.lookup("analyze", name, parts)
+        cached = entry is not None
+        if entry is None:
+            entry = _analyze_entry(name, args, cache)
+            if cache is not None:
+                cache.store("analyze", name, parts, entry)
+        entry = dict(entry)
+        entry["cached"] = cached
+        fail_flag = entry["fails"]["strict" if args.strict else "default"]
+        # Expected-broken systems (fischer-tight) must be refuted:
+        # only a verdict/expectation mismatch fails the command.
+        unexpected = fail_flag == (not entry["expected_broken"])
+        failed = failed or unexpected
+        entries.append(entry)
     if args.json:
         import json as _json
 
@@ -555,9 +578,9 @@ def cmd_analyze(args) -> int:
 
 
 def _perturb_budget_factory(args):
-    from repro.faults import Budget
+    def factory():
+        from repro.faults.budget import Budget
 
-    def factory() -> Budget:
         return Budget(
             max_states=args.max_states,
             max_steps=args.max_steps,
@@ -694,6 +717,8 @@ def cmd_bench(args) -> int:
         }
         print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
+        from repro.analysis.report import Table
+
         table = Table("bench — perf trajectory", [
             "system", "wall (s)", "states", "zones", "mapping evals", "ok",
         ])
@@ -844,106 +869,116 @@ def cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_check(args) -> int:
-    import json as _json
+def _check_entry(name: str, args, cache) -> dict:
+    """Check one system: the cache entry a miss computes."""
     import time as _time
 
     from repro.analyze import lookup_static_mapping
     from repro.core.checker import check_mapping_exhaustive
     from repro.faults import build_perturb_target
     from repro.ioa.explorer import explore
-    from repro.par.surface import explore_automaton, mapping_specs, surface_names
+    from repro.par.surface import explore_automaton, mapping_specs
 
-    names = list(surface_names()) if args.system == "all" else [args.system]
-    cache = _cli_cache(args)
     factory = _perturb_budget_factory(args)
+    start = _time.perf_counter()
+    with _engine_scope(args):
+        automaton, cap = explore_automaton(name)
+        result = explore(automaton, max_states=cap, budget=factory())
+        mappings = []
+        mappings_ok = True
+        exhausted = result.exhausted_budget
+        for label, mapping, grid, horizon in mapping_specs(name):
+            # A mapping the static analyzer already proved (all
+            # obligations PROVED under the current analyze closure)
+            # needs no exhaustive sweep.
+            if lookup_static_mapping(cache, name, label) is not None:
+                mappings.append(
+                    {
+                        "mapping": label,
+                        "ok": True,
+                        "static": True,
+                        "steps_checked": 0,
+                        "exhausted_budget": False,
+                        "detail": "statically proved (repro.analyze)",
+                    }
+                )
+                continue
+            outcome = check_mapping_exhaustive(
+                mapping, grid=grid, horizon=horizon, budget=factory()
+            )
+            mappings_ok = mappings_ok and outcome.ok
+            exhausted = exhausted or outcome.exhausted_budget
+            mappings.append(
+                {
+                    "mapping": label,
+                    "ok": outcome.ok,
+                    "steps_checked": outcome.steps_checked,
+                    "exhausted_budget": outcome.exhausted_budget,
+                    "detail": outcome.detail,
+                }
+            )
+        target = build_perturb_target(
+            name, seeds=args.seeds, steps=args.steps, seed=args.seed
+        )
+        battery = target.evaluate(Fraction(0), factory())
+    exhausted = exhausted or battery.exhausted_budget
+    return {
+        "system": name,
+        "states": len(result.reachable),
+        "transitions": result.transitions_explored,
+        "truncated": result.truncated,
+        "mappings": mappings,
+        "battery": {
+            "ok": battery.ok,
+            "conclusive": battery.conclusive,
+            "steps_checked": battery.steps_checked,
+            "exhausted_budget": battery.exhausted_budget,
+            "detail": battery.detail,
+        },
+        "expected_broken": target.expected_broken,
+        "ok": (not result.truncated) and mappings_ok and battery.ok,
+        # An exploration cut at its state cap proves nothing either way:
+        # the verdict is not conclusive, so it is never cached.
+        "conclusive": battery.conclusive and not exhausted and not result.truncated,
+        "wall": _time.perf_counter() - start,
+    }
+
+
+def cmd_check(args) -> int:
+    import json as _json
+
+    names = list(catalog.SURFACE_SYSTEMS) if args.system == "all" else [args.system]
+    cache = _cli_cache(args)
     entries = []
     failed = False
-    with _engine_scope(args):
-        for name in names:
-            parts = _with_gen_parts(name, {
-                "seeds": args.seeds,
-                "steps": args.steps,
-                "seed": args.seed,
-                "max_states": args.max_states,
-                "max_steps": args.max_steps,
-                "wall_time": str(args.wall_time),
-            })
-            entry = None if cache is None else cache.lookup("check", name, parts)
-            cached = entry is not None
-            if entry is None:
-                start = _time.perf_counter()
-                automaton, cap = explore_automaton(name)
-                result = explore(automaton, max_states=cap, budget=factory())
-                mappings = []
-                mappings_ok = True
-                exhausted = result.exhausted_budget
-                for label, mapping, grid, horizon in mapping_specs(name):
-                    # A mapping the static analyzer already proved (all
-                    # obligations PROVED at the current rule-set version)
-                    # needs no exhaustive sweep.
-                    if lookup_static_mapping(cache, name, label) is not None:
-                        mappings.append(
-                            {
-                                "mapping": label,
-                                "ok": True,
-                                "static": True,
-                                "steps_checked": 0,
-                                "exhausted_budget": False,
-                                "detail": "statically proved (repro.analyze)",
-                            }
-                        )
-                        continue
-                    outcome = check_mapping_exhaustive(
-                        mapping, grid=grid, horizon=horizon, budget=factory()
-                    )
-                    mappings_ok = mappings_ok and outcome.ok
-                    exhausted = exhausted or outcome.exhausted_budget
-                    mappings.append(
-                        {
-                            "mapping": label,
-                            "ok": outcome.ok,
-                            "steps_checked": outcome.steps_checked,
-                            "exhausted_budget": outcome.exhausted_budget,
-                            "detail": outcome.detail,
-                        }
-                    )
-                target = build_perturb_target(
-                    name, seeds=args.seeds, steps=args.steps, seed=args.seed
-                )
-                battery = target.evaluate(Fraction(0), factory())
-                exhausted = exhausted or battery.exhausted_budget
-                entry = {
-                    "system": name,
-                    "states": len(result.reachable),
-                    "transitions": result.transitions_explored,
-                    "truncated": result.truncated,
-                    "mappings": mappings,
-                    "battery": {
-                        "ok": battery.ok,
-                        "conclusive": battery.conclusive,
-                        "steps_checked": battery.steps_checked,
-                        "exhausted_budget": battery.exhausted_budget,
-                        "detail": battery.detail,
-                    },
-                    "expected_broken": target.expected_broken,
-                    "ok": (not result.truncated) and mappings_ok and battery.ok,
-                    "conclusive": battery.conclusive and not exhausted,
-                    "wall": _time.perf_counter() - start,
-                }
-                if cache is not None and entry["conclusive"]:
-                    cache.store("check", name, parts, entry)
-            entry = dict(entry)
-            entry["cached"] = cached
-            # A deliberately-broken system (fischer-tight) is *expected*
-            # to fail: only a mismatch between verdict and expectation
-            # counts against the exit code.
-            unexpected = entry["ok"] == entry["expected_broken"]
-            failed = failed or unexpected
-            entries.append(entry)
+    for name in names:
+        parts = _with_gen_parts(name, {
+            "seeds": args.seeds,
+            "steps": args.steps,
+            "seed": args.seed,
+            "max_states": args.max_states,
+            "max_steps": args.max_steps,
+            "wall_time": str(args.wall_time),
+        })
+        entry = None if cache is None else cache.lookup("check", name, parts)
+        cached = entry is not None
+        if entry is None:
+            entry = _check_entry(name, args, cache)
+            if cache is not None and entry["conclusive"]:
+                cache.store("check", name, parts, entry)
+        entry = dict(entry)
+        entry["cached"] = cached
+        # A deliberately-broken system (fischer-tight) is *expected*
+        # to fail: only a mismatch between verdict and expectation
+        # counts against the exit code.
+        unexpected = entry["ok"] == entry["expected_broken"]
+        failed = failed or unexpected
+        entries.append(entry)
     if args.json:
         print(_json.dumps(entries if args.system == "all" else entries[0], indent=2))
     else:
+        from repro.analysis.report import Table
+
         table = Table("check — full nominal verification", [
             "system", "states", "mappings", "battery", "cached", "verdict",
         ])
@@ -1218,13 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_arguments(peterson)
     peterson.set_defaults(func=cmd_peterson)
 
-    from repro.lint import DEFAULT_MAX_STATES, system_names
-
     lint = sub.add_parser(
         "lint", help="static pre-flight diagnostics for a shipped system"
     )
     lint.add_argument(
-        "system", type=_gen_aware_system(system_names()),
+        "system", type=_gen_aware_system(catalog.LINT_SYSTEMS),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     lint.add_argument(
@@ -1236,14 +1269,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--max-states",
         type=int,
-        default=DEFAULT_MAX_STATES,
+        default=catalog.LINT_MAX_STATES,
         help="cap on bounded exploration per automaton",
     )
     _add_engine_arguments(lint)
     _add_cache_argument(lint)
     lint.set_defaults(func=cmd_lint)
-
-    from repro.par.surface import surface_names
 
     analyze = sub.add_parser(
         "analyze",
@@ -1252,7 +1283,7 @@ def build_parser() -> argparse.ArgumentParser:
              "closed-form Theorem 6.4 bounds — no state exploration",
     )
     analyze.add_argument(
-        "system", type=_gen_aware_system(surface_names()),
+        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     analyze.add_argument(
@@ -1271,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(exploration + exhaustive mapping checks + proof battery)",
     )
     check.add_argument(
-        "system", type=_gen_aware_system(surface_names()),
+        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     check.add_argument("--seeds", type=int, default=3, help="uniform-strategy seeds")
@@ -1296,15 +1327,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(check)
     check.set_defaults(func=cmd_check)
 
-    from repro.faults.perturb import DIRECTIONS, MODES
-    from repro.faults.targets import perturb_names
-
     perturb = sub.add_parser(
         "perturb",
         help="fault-injection: how much clock drift do the proofs survive?",
     )
     perturb.add_argument(
-        "system", type=_gen_aware_system(perturb_names()),
+        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     group = perturb.add_mutually_exclusive_group()
@@ -1321,13 +1349,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perturb.add_argument(
         "--direction",
-        choices=list(DIRECTIONS),
+        choices=list(catalog.DIRECTIONS),
         default=None,
         help="override the system's canonical stress direction",
     )
     perturb.add_argument(
         "--mode",
-        choices=list(MODES),
+        choices=list(catalog.MODES),
         default=None,
         help="rate drift (scale) or offset jitter (shift)",
     )
@@ -1362,20 +1390,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(perturb)
     perturb.set_defaults(func=cmd_perturb)
 
-    from repro.obs.bench import DEFAULT_ITERATIONS, bench_names
-    from repro.obs.tracing import trace_names
-
     bench = sub.add_parser(
         "bench", help="perf-trajectory benchmark runner (BENCH_<n>.json)"
     )
     bench.add_argument(
         "system", nargs="*", metavar="SYSTEM",
         help="systems to profile (default: all of {})".format(
-            ", ".join(bench_names())
+            ", ".join(catalog.BENCH_PROFILES)
         ),
     )
     bench.add_argument(
-        "--iterations", type=_positive_int, default=DEFAULT_ITERATIONS,
+        "--iterations", type=_positive_int, default=catalog.BENCH_ITERATIONS,
         help="seeded simulation iterations per profile",
     )
     bench.add_argument(
@@ -1400,8 +1425,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(bench)
     bench.set_defaults(func=cmd_bench)
 
-    from repro.runner import JOB_KINDS
-
     run = sub.add_parser(
         "run",
         help="supervised verification campaign with checkpoint/resume",
@@ -1411,8 +1434,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="systems to campaign over (default: all; 'all' accepted)",
     )
     run.add_argument(
-        "--kinds", default=",".join(JOB_KINDS),
-        help="comma-separated job kinds (default: {})".format(",".join(JOB_KINDS)),
+        "--kinds", default=",".join(catalog.JOB_KINDS),
+        help="comma-separated job kinds (default: {})".format(
+            ",".join(catalog.JOB_KINDS)
+        ),
     )
     run.add_argument(
         "--workers", type=_nonneg_int, default=2,
@@ -1643,7 +1668,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="replayable JSONL telemetry trace of a checked run"
     )
-    trace.add_argument("system", choices=list(trace_names()))
+    trace.add_argument("system", choices=list(catalog.SURFACE_SYSTEMS))
     trace.add_argument("--seed", type=int, default=0, help="RNG seed")
     trace.add_argument("--steps", type=int, default=80, help="events per run")
     trace.add_argument(

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
+from repro.catalog import DIRECTIONS, MODES
 from repro.errors import PerturbationError, TimingConditionError
 from repro.ioa.automaton import IOAutomaton
 from repro.timed.boundmap import Boundmap, TimedAutomaton
@@ -45,9 +46,6 @@ __all__ = [
     "drop_actions",
     "ActionDropAutomaton",
 ]
-
-MODES = ("scale", "shift")
-DIRECTIONS = ("widen", "tighten")
 
 
 @dataclass(frozen=True)

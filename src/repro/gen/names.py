@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+from repro.catalog import GEN_PREFIX
 from repro.errors import ReproError
 
 __all__ = [
@@ -45,9 +46,6 @@ __all__ = [
 
 #: Version stamp folded into every gen-derived verdict-cache key.
 GEN_VERSION = 1
-
-#: The namespace prefix that marks a generated-system name.
-GEN_PREFIX = "gen:"
 
 #: ``family -> (param names, (lo, hi) cap per param)``.  ``tournament``
 #: additionally requires a power of two (checked in :func:`parse`).

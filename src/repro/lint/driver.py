@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.catalog import LINT_MAX_STATES as DEFAULT_MAX_STATES
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.explorer import ExplorationResult, explore, iter_steps
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
@@ -50,9 +51,6 @@ __all__ = [
     "lint_chain",
     "lint_system",
 ]
-
-#: Default cap on bounded exploration during linting.
-DEFAULT_MAX_STATES = 2000
 
 
 class _Context:

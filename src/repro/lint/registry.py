@@ -30,7 +30,6 @@ __all__ = [
     "all_rules",
     "rules_for",
     "get_rule",
-    "ruleset_version",
 ]
 
 #: The kinds of object a rule can lint.  ``interference`` rules are run
@@ -104,23 +103,3 @@ def get_rule(rule_id: str) -> Rule:
         return _REGISTRY[rule_id]
     except KeyError:
         raise LintError("no lint rule with id {!r}".format(rule_id)) from None
-
-
-def ruleset_version() -> str:
-    """A fingerprint of the *rule set* itself: highest rule id, rule
-    count and engine version.
-
-    Folded into verdict-cache keys for lint/analyze entries so that
-    adding a rule (R015+) invalidates previously-clean cached verdicts
-    instead of serving them stale.  Imports the rule modules lazily so
-    every registered rule is counted regardless of call order."""
-    from repro.cache.fingerprint import ENGINE_VERSION
-    from repro.lint import rules as _rules  # noqa: F401 — registers R001+
-
-    try:  # registers R015+ (absent only in stripped-down builds)
-        from repro.analyze import interference as _interference  # noqa: F401
-    except ImportError:  # pragma: no cover
-        pass
-    ids = sorted(_REGISTRY)
-    newest = ids[-1] if ids else "R000"
-    return "{}:{}:e{}".format(newest, len(ids), ENGINE_VERSION)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.catalog import BENCH_ITERATIONS as DEFAULT_ITERATIONS
 from repro.errors import ReproError
 from repro.obs.instrument import Recorder, recording
 from repro.serialize import SerializationError
@@ -74,9 +75,6 @@ COUNTER_FLOOR = 10
 TIMER_FLOOR_S = 0.02
 
 _BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-#: Default number of seeded simulation iterations per profile.
-DEFAULT_ITERATIONS = 3
 
 
 @dataclass

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.catalog import ENGINE_KINDS
 from repro.errors import ReproError
 from repro.obs import instrument as _telemetry
 
@@ -47,9 +48,6 @@ __all__ = [
     "shard_items",
     "ForkPool",
 ]
-
-#: Engine kinds accepted by ``--engine`` flags and ``engine=`` keywords.
-ENGINE_KINDS = ("serial", "parallel")
 
 #: Hard cap on worker processes (beyond this the per-level merge cost
 #: dominates any speedup on the shipped workloads).

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.catalog import JOB_KINDS
 from repro.errors import ReproError
 from repro.obs.instrument import Recorder, recording
 
@@ -43,10 +44,6 @@ __all__ = [
     "fuzz_shards",
     "job_cache_parts",
 ]
-
-#: Job kinds in campaign-scheduling order (cheap static checks first;
-#: fuzz campaigns are the most expensive unit and go last).
-JOB_KINDS = ("lint", "analyze", "check", "perturb", "bench", "fuzz")
 
 #: The synthetic "system" every fuzz shard runs against: a campaign
 #: fuzzes *random* instances, so no shipped system name applies.
@@ -361,12 +358,6 @@ def job_cache_parts(job: Job) -> Optional[Dict[str, Any]]:
         for key, value in job.params.items()
         if key not in _UNCACHED_PARAMS
     }
-    if job.kind in ("lint", "analyze"):
-        # Rule-backed verdicts go stale when the rule set grows; fold
-        # its version into the key so new rules force a recompute.
-        from repro.lint.registry import ruleset_version
-
-        parts["ruleset"] = ruleset_version()
     from repro.gen import cache_parts as gen_cache_parts
     from repro.gen import is_gen_name
     from repro.gen.names import GEN_VERSION

@@ -17,16 +17,17 @@ silently.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
-from typing import Any, Iterable, List
+from typing import TYPE_CHECKING, Any, Iterable, List
 
 from repro.errors import ReproError
-from repro.ioa.actions import Act
-from repro.core.time_state import Prediction, TimeState
-from repro.obs.instrument import TraceEvent
-from repro.timed.timed_sequence import TimedEvent, TimedSequence
+
+if TYPE_CHECKING:
+    from repro.obs.instrument import TraceEvent
+    from repro.timed.timed_sequence import TimedSequence
 
 __all__ = [
     "SerializationError",
@@ -70,6 +71,18 @@ class SerializationError(ReproError):
     """A value outside the supported shapes was (de)serialised."""
 
 
+@functools.lru_cache(maxsize=None)
+def _tagged_types():
+    """``(Act, Prediction, TimeState, TraceEvent)``, imported on first
+    use: the verdict cache reads and writes plain JSON through this
+    module, and must not pull the automaton model in with it."""
+    from repro.core.time_state import Prediction, TimeState
+    from repro.ioa.actions import Act
+    from repro.obs.instrument import TraceEvent
+
+    return Act, Prediction, TimeState, TraceEvent
+
+
 def encode_value(value: Any) -> Any:
     """Encode a state/time value into JSON-able form."""
     if value is None or isinstance(value, (str, int)) and not isinstance(value, bool):
@@ -82,6 +95,7 @@ def encode_value(value: Any) -> Any:
         if math.isinf(value):
             return {"__inf__": 1 if value > 0 else -1}
         return {"__float__": repr(value)}
+    Act, Prediction, TimeState, TraceEvent = _tagged_types()
     if isinstance(value, Act):
         return {"__act__": value.name, "args": [encode_value(a) for a in value.args]}
     if isinstance(value, Prediction):
@@ -125,6 +139,7 @@ def decode_value(value: Any) -> Any:
         return math.inf if value["__inf__"] > 0 else -math.inf
     if "__float__" in value:
         return float(value["__float__"])
+    Act, Prediction, TimeState, TraceEvent = _tagged_types()
     if "__act__" in value:
         return Act(value["__act__"], tuple(decode_value(a) for a in value["args"]))
     if "__pred__" in value:
@@ -164,6 +179,8 @@ def run_to_json(run: TimedSequence, indent: int = None) -> str:
 
 def run_from_json(text: str) -> TimedSequence:
     """Reconstruct a timed sequence from :func:`run_to_json` output."""
+    from repro.timed.timed_sequence import TimedEvent, TimedSequence
+
     payload = json.loads(text)
     states = tuple(decode_value(s) for s in payload["states"])
     events = tuple(
@@ -176,6 +193,8 @@ def run_from_json(text: str) -> TimedSequence:
 def events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     """Serialise a trace to JSONL: one header line carrying the schema
     version, then one encoded :class:`TraceEvent` per line."""
+    from repro.obs.instrument import TraceEvent
+
     lines = [json.dumps({"__trace_jsonl__": TRACE_SCHEMA_VERSION})]
     for ev in events:
         if not isinstance(ev, TraceEvent):
@@ -193,6 +212,8 @@ def events_from_jsonl(text: str) -> List[TraceEvent]:
     silently misreading a future trace shape would be worse than
     failing.
     """
+    from repro.obs.instrument import TraceEvent
+
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise SerializationError("empty trace: missing schema header")

@@ -73,25 +73,31 @@ class TestAnalyzeCache:
         assert warm["summary"] == cold["summary"]
 
     def test_cache_key_carries_ruleset_version(self, warm_cache_env):
+        # The rule set keys the entry through the analyze closure
+        # fingerprint, which hashes every rule module; the entry's own
+        # parts are empty for a shipped system.
         from repro.cache import default_cache
-        from repro.lint.registry import ruleset_version
+        from repro.cache.fingerprint import dependency_closure
 
         assert main(["analyze", "rm"]) == 0
         cache = default_cache()
-        assert cache.lookup("analyze", "rm", {"ruleset": ruleset_version()})
-        assert (
-            cache.lookup("analyze", "rm", {"ruleset": "R999:99:e99"}) is None
-        )
+        assert cache.lookup("analyze", "rm", {})
+        assert cache.lookup("analyze", "rm", {"ruleset": "R999:99:e99"}) is None
+        closure = dependency_closure("analyze", "rm")
+        assert "repro.lint.rules" in closure
+        assert "repro.analyze.interference" in closure
 
     def test_lint_cache_key_carries_ruleset_version(self, warm_cache_env):
         from repro.cache import default_cache
+        from repro.cache.fingerprint import dependency_closure
         from repro.lint import DEFAULT_MAX_STATES
-        from repro.lint.registry import ruleset_version
 
         assert main(["lint", "rm"]) == 0
         cache = default_cache()
-        parts = {"max_states": DEFAULT_MAX_STATES, "ruleset": ruleset_version()}
-        assert cache.lookup("lint", "rm", parts)
+        assert cache.lookup("lint", "rm", {"max_states": DEFAULT_MAX_STATES})
+        closure = dependency_closure("lint", "rm")
+        assert "repro.lint.rules" in closure
+        assert "repro.analyze.interference" in closure
 
     def test_proved_mappings_recorded_for_check(self, warm_cache_env):
         from repro.analyze import lookup_static_mapping

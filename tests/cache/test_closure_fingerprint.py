@@ -7,6 +7,7 @@ module — or the zone engine everything rides on — must invalidate it.
 """
 
 import os
+import re
 import shutil
 
 from repro.cache.fingerprint import (
@@ -144,3 +145,56 @@ class TestInvalidation:
         assert closure_fingerprint("check", "rm") != closure_fingerprint(
             "check", "relay"
         )
+
+
+#: Kinds whose verdicts depend on the registered lint rules.
+RULE_BACKED_KINDS = ("lint", "analyze", "analyze-mapping", "check")
+
+_RULE_DECORATOR = re.compile(rb"^@rule\(", re.MULTILINE)
+
+
+def _rule_modules():
+    """Every module that registers a lint rule: the defining modules of
+    the registered rules, plus any package module with a module-level
+    ``@rule(`` decorator (registered or not yet imported)."""
+    import repro.analyze.interference  # noqa: F401  registers R015+
+    import repro.lint.rules  # noqa: F401  registers R001+
+    from repro.lint.registry import all_rules
+
+    found = {r.func.__module__ for r in all_rules()}
+    root = _package_root()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, "rb") as fh:
+                if not _RULE_DECORATOR.search(fh.read()):
+                    continue
+            parts = os.path.relpath(path, root)[: -len(".py")].split(os.sep)
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            found.add(".".join(["repro"] + parts))
+    return found
+
+
+class TestRuleSetInKey:
+    """The rule set keys lint/analyze verdicts through the closure
+    fingerprint alone: no key part of its own."""
+
+    def test_rule_modules_in_every_rule_backed_closure(self):
+        modules = _rule_modules()
+        assert {"repro.lint.rules", "repro.analyze.interference"} <= modules
+        for kind in RULE_BACKED_KINDS:
+            for system in list(SYSTEM_SEEDS) + ["gen:fischer-3", "gen:relay_line-2"]:
+                closure = set(dependency_closure(kind, system))
+                assert modules <= closure, (kind, system, modules - closure)
+
+    def test_rule_edit_moves_lint_and_analyze_fingerprints(self, tmp_path):
+        pristine = _pristine_copy(tmp_path)
+        edited = _edited_copy(tmp_path, "lint/rules.py")
+        for kind in ("lint", "analyze"):
+            assert closure_fingerprint(kind, "rm", pristine) != closure_fingerprint(
+                kind, "rm", edited
+            ), kind

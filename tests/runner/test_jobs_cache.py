@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lint.registry import ruleset_version
+from repro.cache.fingerprint import dependency_closure
 from repro.runner.jobs import Job, _job_cache, execute_job
 
 
@@ -58,11 +58,13 @@ class TestJobCachePolicy:
         )
         cache, parts = _job_cache(job)
         assert cache is not None
-        assert parts == {"strict": False, "ruleset": ruleset_version()}
+        assert parts == {"strict": False}
 
     def test_rule_backed_kinds_key_on_ruleset_version(self, warm_cache_env):
-        # Growing the rule set must invalidate lint/analyze verdicts;
-        # exploration-backed kinds don't depend on rules at all.
+        # Growing the rule set must invalidate lint/analyze verdicts.
+        # The key needs no part for it: the modules that register rules
+        # are in the kinds' closure fingerprints, so the job's own
+        # params are the whole of its parts.
         for kind in ("lint", "analyze"):
             _, parts = _job_cache(
                 Job(
@@ -72,11 +74,10 @@ class TestJobCachePolicy:
                     params={"strict": False},
                 )
             )
-            assert parts["ruleset"] == ruleset_version()
-        _, parts = _job_cache(
-            Job(job_id="check:chain", kind="check", system="chain", params={})
-        )
-        assert "ruleset" not in parts
+            assert parts == {"strict": False}
+            closure = dependency_closure(kind, "chain")
+            assert "repro.lint.rules" in closure
+            assert "repro.analyze.interference" in closure
 
 
 class TestExecuteJobCaching:

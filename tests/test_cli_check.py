@@ -68,6 +68,21 @@ class TestCheckCommand:
         assert "hits=1" in err
         assert json.loads(out)["cached"] is True
 
+    def test_truncated_exploration_is_inconclusive_and_not_cached(
+        self, warm_cache_env, capsys
+    ):
+        # rm's untimed automaton is unbounded, so its exploration stops
+        # at the state cap: that proves nothing either way, and a
+        # verdict that proves nothing must not be served as a hit.
+        _, out, err = _check(["rm", "--json"], capsys)
+        entry = json.loads(out)
+        assert entry["truncated"] is True
+        assert entry["conclusive"] is False
+        assert "stores=0" in err
+        _, out, err = _check(["rm", "--json"], capsys)
+        assert json.loads(out)["cached"] is False
+        assert "hits=0" in err
+
     def test_no_cache_flag(self, warm_cache_env, capsys):
         _check(["chain", "--json"], capsys)
         code, out, err = _check(["chain", "--json", "--no-cache"], capsys)

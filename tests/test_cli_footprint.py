@@ -1,0 +1,77 @@
+"""What a process loads for ``repro --help`` and for a warm verdict.
+
+Each command runs as a real ``python -m repro`` child under
+``-X importtime``, whose report names every module the process
+imported.  Neither ``--help`` nor a cache hit may load numpy or any
+engine package: they cost a parser build and one cache read.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: ``repro`` subpackages a help or cache-hit process must not import.
+ENGINE_PACKAGES = (
+    "analysis", "analyze", "core", "faults", "gen", "ioa", "lint", "sim",
+    "systems", "timed", "zones", "runner", "serve", "dist",
+)
+
+WARM_COMMANDS = (("lint", "rm"), ("analyze", "fischer"), ("check", "fischer"))
+
+
+def _run(args, cache_dir):
+    """``(exit code, stdout, imported module names)`` of one child."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    env["REPRO_CACHE"] = "1"
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro"] + list(args),
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    modules = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            modules.add(line.rsplit("|", 1)[1].strip())
+    return proc.returncode, proc.stdout, modules
+
+
+def _engine_modules(modules):
+    prefixes = tuple("repro.{}".format(p) for p in ENGINE_PACKAGES)
+    return sorted(
+        m for m in modules
+        if m == "numpy" or m.startswith("numpy.")
+        or any(m == p or m.startswith(p + ".") for p in prefixes)
+    )
+
+
+def test_help_loads_no_engine(tmp_path):
+    code, out, modules = _run(["--help"], tmp_path)
+    assert code == 0
+    assert "repro.cli" in modules
+    assert _engine_modules(modules) == []
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("verdicts")
+    for kind, system in WARM_COMMANDS:
+        code, out, _ = _run([kind, system, "--json"], cache_dir)
+        assert json.loads(out)["cached"] is False, (kind, system, code)
+    return cache_dir
+
+
+@pytest.mark.parametrize("kind,system", WARM_COMMANDS)
+def test_warm_hit_loads_no_engine(warm_cache, kind, system):
+    code, out, modules = _run([kind, system, "--json"], warm_cache)
+    assert code == 0
+    assert json.loads(out)["cached"] is True
+    assert "repro.cache.store" in modules
+    assert _engine_modules(modules) == []
