@@ -206,7 +206,7 @@ def _tournament_bounds(name: str, params) -> List[DerivedBound]:
     from repro.analysis.recurrence import peterson_first_entry_chain
 
     if params.n != 2:
-        # Width >= 4 entry-upper bounds are deferred to exploration
+        # Width >= 4 entry-upper bounds are decided on the zone graph
         # (see the analyze obligations); no closed form is declared.
         return []
     step = params.step_interval

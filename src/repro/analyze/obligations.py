@@ -69,7 +69,8 @@ class ObligationResult:
     obligation: str
     verdict: Verdict
     #: How the verdict was reached: ``fourier-motzkin``, ``structural``,
-    #: ``concrete`` (start states only) or ``closed-form``.
+    #: ``concrete`` (start states only), ``closed-form``, ``zone-exact``
+    #: (an exact zone-graph bound) or ``deferred`` (UNKNOWN).
     method: str
     detail: str = ""
     #: The surface mapping label this obligation belongs to (``None``
@@ -750,11 +751,14 @@ def _tournament_obligations(system_name: str, params) -> List[ObligationResult]:
     * **entry-bound** (width 2 only) — the bracket degenerates to
       Peterson, so the closed form ``3·[s1, s2]`` must match the
       recurrence milestone chain, exactly as for ``peterson``.
-    * **entry-upper** (width ≥ 4) — a *structured deferral*: upper
-      entry bounds under contention depend on the guard-based mutex
-      argument, which is not a linear timing property.  The verdict is
-      UNKNOWN with ``method="deferred"`` so gates never fail on it and
-      downstream tooling can recognise the deferral.
+    * **entry-upper** (width ≥ 4) — upper entry bounds under
+      contention rest on the guard-based mutex argument, which is not a
+      linear timing property, so the zone graph decides them: the exact
+      first-entry bound must not exceed ``3·height·s2`` (``PROVED`` /
+      ``REFUTED``, ``method="zone-exact"``).  Only when the search runs
+      out of its node budget is the verdict UNKNOWN with
+      ``method="deferred"``, so gates never fail on it and downstream
+      tooling can recognise the deferral.
     """
     from repro.analysis.recurrence import peterson_first_entry_chain
 
@@ -813,19 +817,56 @@ def _tournament_obligations(system_name: str, params) -> List[ObligationResult]:
                 )
             )
     else:
-        results.append(
-            ObligationResult(
-                system=system_name,
-                obligation="entry-upper",
-                verdict=Verdict.UNKNOWN,
-                method="deferred",
-                detail="deferred: upper entry bounds for a width-{} bracket "
-                "rest on the guard-based mutex argument (not a linear timing "
-                "property); zone exploration carries the evidence; the FM "
-                "lower milestone {} stands".format(params.n, steps * step.lo),
-            )
-        )
+        results.append(_tournament_entry_upper(system_name, params))
     return results
+
+
+#: Zone-node budget of the tournament entry-upper search: width 4 needs
+#: ~8k nodes; a wider bracket defers rather than search for minutes.
+_TOURNAMENT_ZONE_NODES = 20_000
+
+
+def _tournament_entry_upper(system_name: str, params) -> ObligationResult:
+    """Decide the width ≥ 4 upper entry bound on the zone graph: the
+    exact first-entry time over every timed execution against the
+    winner's ``3·height`` steps of at most ``s2``."""
+    from repro.errors import ZoneError
+    from repro.systems.extensions.tournament import ADVANCE, tournament_system
+    from repro.zones.analysis import event_separation_bounds
+
+    step = params.step_interval
+    claimed = 3 * params.height * step.hi
+    entries = {ADVANCE(i, params.height - 1) for i in range(params.n)}
+    try:
+        exact = event_separation_bounds(
+            tournament_system(params),
+            entries,
+            max_nodes=_TOURNAMENT_ZONE_NODES,
+        )
+    except ZoneError as exc:
+        return ObligationResult(
+            system=system_name,
+            obligation="entry-upper",
+            verdict=Verdict.UNKNOWN,
+            method="deferred",
+            detail="deferred: the zone search found no upper entry bound "
+            "for a width-{} bracket ({}); the FM lower milestone {} "
+            "stands".format(params.n, exc, 3 * params.height * step.lo),
+        )
+    verdict = Verdict.PROVED if exact.hi <= claimed else Verdict.REFUTED
+    return ObligationResult(
+        system=system_name,
+        obligation="entry-upper",
+        verdict=verdict,
+        method="zone-exact",
+        detail="first CS entry over every timed execution in {!r} ({} zone "
+        "nodes); {} 3*height*s2 = {}".format(
+            exact,
+            exact.nodes,
+            "within" if verdict is Verdict.PROVED else "exceeds",
+            claimed,
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

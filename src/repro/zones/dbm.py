@@ -33,12 +33,14 @@ results are byte-identical to the pure-python loop because both are
 exact int64 arithmetic).  Only the operations needed for forward
 reachability of timed automata are provided: canonicalisation
 (Floyd–Warshall), emptiness, constraint intersection (incremental
-O(n²) tightening), delay (``up``), and single/batched clock resets.
+O(n²) tightening), delay (``up``), single/batched clock resets, and
+zone inclusion (for the zone graph's subsumption).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -435,6 +437,23 @@ class DBM:
                 elif diff >= bound:
                     return False
         return True
+
+    def includes(self, other: "DBM") -> bool:
+        """True when every valuation of ``other`` lies in this zone.
+
+        Both matrices must be canonical and non-empty; inclusion is then
+        a cellwise ``≤`` on the encoded cells (integer order is bound
+        tightness), stopping at the first looser cell.  Operands on
+        different grids are compared on the lcm grid, on copies.
+        """
+        if self.n != other.n:
+            raise ZoneError("cannot compare zones over different clock counts")
+        mine, theirs = self.cells, other.cells
+        if self.scale != other.scale:
+            scale = _lcm(self.scale, other.scale)
+            mine = self.copy().rescale(scale).cells
+            theirs = other.copy().rescale(scale).cells
+        return all(map(operator.le, theirs, mine))
 
     # ------------------------------------------------------------------
     # Identity

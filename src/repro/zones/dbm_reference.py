@@ -177,6 +177,18 @@ class ReferenceDBM:
                     return False
         return True
 
+    def includes(self, other: "ReferenceDBM") -> bool:
+        """True when every valuation of ``other`` lies in this zone
+        (both canonical and non-empty: every bound of ``other`` is at
+        least as tight as the matching bound here)."""
+        if self.n != other.n:
+            raise ZoneError("cannot compare zones over different clock counts")
+        for mine, theirs in zip(self.m, other.m):
+            for bound, other_bound in zip(mine, theirs):
+                if other_bound > bound:
+                    return False
+        return True
+
     def key(self) -> Tuple:
         """Hashable canonical form."""
         return tuple(tuple(row) for row in self.m)

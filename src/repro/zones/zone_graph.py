@@ -1,7 +1,8 @@
 """Symbolic (zone-graph) reachability for MMT timed automata.
 
 Encodes a :class:`~repro.timed.boundmap.TimedAutomaton` as a timed
-safety automaton with one clock per partition class:
+safety automaton with one clock per partition class whose bound is not
+the trivial ``[0, ∞]`` (such a class has no guard and no invariant):
 
 - **invariant** — for every class ``C`` enabled in the current state
   with a finite ``b_u(C)``: ``x_C ≤ b_u(C)``;
@@ -18,6 +19,19 @@ exact bounds of the paper's theorems are extracted.
 Exploration is exact for the continuous semantics (zones are) and is
 kept finite by per-action occurrence limits: once a counted action has
 fired its limit, the branch is not expanded further.
+
+The search is a passed/waiting list with inclusion subsumption
+(Behrmann, Bouyer, Larsen and Pelánek, STTT 2006).  Each popped node
+computes its delayed zone (``up`` under the invariant) once; every
+enabled action narrows a copy with its guard.  Per discrete state
+``(A-state, counts)`` only maximal zones are kept: a successor that a
+kept zone includes is skipped (``zones.subsumed``), and kept zones the
+successor includes are evicted (``zones.evicted``), their queued
+entries dead.  A covered zone's firings are a subset of its cover's,
+and the cover is itself reachable, so reachable A-states and firing
+records are exactly those of the equality-only search.  An exact-key
+hash set stays in front of the inclusion scan as the O(1) fast path.
+``nodes`` counts admitted zones, evicted ones included.
 """
 
 from __future__ import annotations
@@ -165,19 +179,16 @@ def explore_zone_graph(
         )
 
     classes = list(partition.classes)
-    class_index = {cls.name: i + 1 for i, cls in enumerate(classes)}
     # A class with the trivial bound [0, ∞] contributes no guard and no
-    # invariant, so its clock is semantically irrelevant; pinning it to 0
-    # at every transition keeps the zone graph finite.
-    trivial = {
-        cls.name
-        for cls in classes
-        if timed.class_interval(cls).is_trivial
-    }
+    # invariant, so it gets no clock: pinned to 0 at every transition to
+    # keep the zone graph finite, it would only mirror the reference
+    # clock and widen every matrix.
+    clocked = [cls for cls in classes if not timed.class_interval(cls).is_trivial]
+    class_index = {cls.name: i + 1 for i, cls in enumerate(clocked)}
     observer_index = {
-        obs.name: len(classes) + 1 + i for i, obs in enumerate(observers)
+        obs.name: len(clocked) + 1 + i for i, obs in enumerate(observers)
     }
-    total_clocks = len(classes) + len(observers)
+    total_clocks = len(clocked) + len(observers)
 
     starts = list(automaton.start_states())
     if len(starts) != 1:
@@ -186,34 +197,38 @@ def explore_zone_graph(
 
     # Hot-path precomputation: class intervals are fixed for the whole
     # exploration, and A-states recur across many zone nodes — memoising
-    # per-A-state enabledness avoids re-deriving it for every
-    # (node, action, successor) triple.
+    # per-A-state enabledness (of classes and of actions) avoids
+    # re-deriving it for every (node, action, successor) triple.
     upper_bounds: List[Optional[Bound]] = []
     lower_bounds: Dict[str, object] = {}
     for cls in classes:
-        interval = timed.class_interval(cls)
-        upper = interval.hi
+        lower_bounds[cls.name] = timed.class_interval(cls).lo
+    for cls in clocked:
+        upper = timed.class_interval(cls).hi
         upper_bounds.append(
             None if isinstance(upper, float) and math.isinf(upper) else le_bound(upper)
         )
-        lower_bounds[cls.name] = interval.lo
     enabled_memo: Dict[Hashable, Tuple[bool, ...]] = {}
+    actions_memo: Dict[Hashable, List[Hashable]] = {}
 
     def enabled_classes(astate) -> Tuple[bool, ...]:
         cached = enabled_memo.get(astate)
         if cached is None:
-            cached = tuple(automaton.class_enabled(astate, cls) for cls in classes)
+            cached = tuple(automaton.class_enabled(astate, cls) for cls in clocked)
             enabled_memo[astate] = cached
         return cached
 
+    def enabled_actions(astate) -> List[Hashable]:
+        cached = actions_memo.get(astate)
+        if cached is None:
+            cached = automaton.enabled_actions(astate)
+            actions_memo[astate] = cached
+        return cached
+
     def apply_invariant(zone: DBM, enabled: Tuple[bool, ...]) -> DBM:
-        for i, cls in enumerate(classes):
-            if not enabled[i]:
-                continue
-            upper = upper_bounds[i]
-            if upper is None:
-                continue
-            zone.constrain(class_index[cls.name], 0, upper)
+        for i, upper in enumerate(upper_bounds):
+            if enabled[i] and upper is not None:
+                zone.constrain(i + 1, 0, upper)
         return zone
 
     result = ZoneGraphResult(nodes=0, transitions=0, truncated=False, firings={})
@@ -241,11 +256,16 @@ def explore_zone_graph(
         return stop_on_watch
 
     rec = _telemetry._ACTIVE
+    # Exact keys of every zone ever admitted or subsumed: the O(1) fast
+    # path in front of the inclusion scan.  Canonical zone keys are
+    # interned, so nodes that share a zone share one key object.
     visited = set()
-    # Canonical zone keys are interned: zone-graph nodes that share a
-    # zone share one key object, so the visited set dedupes by identity
-    # and repeated keys cost no extra memory.
     interned: Dict[Hashable, Hashable] = {}
+    # The maximal zones kept per discrete state ``(A-state, counts)``.
+    # A frontier entry is the list ``[A-state, counts, zone]``; evicting
+    # a kept zone sets its zone to None, so a queued entry is skipped
+    # when popped.
+    kept: Dict[Tuple[Hashable, Tuple[int, ...]], List[list]] = {}
     frontier: deque = deque()
     if rec is not None:
         rec.incr("zones.canonicalize")
@@ -255,7 +275,9 @@ def explore_zone_graph(
         result.exhausted_budget = True
         return result
     visited.add(start_key)
-    frontier.append((start_astate, zero_counts, initial_zone))
+    start_entry = [start_astate, zero_counts, initial_zone]
+    kept[(start_astate, zero_counts)] = [start_entry]
+    frontier.append(start_entry)
     result.nodes = 1
     if rec is not None:
         rec.incr("zones.nodes")
@@ -270,18 +292,26 @@ def explore_zone_graph(
         if rec is not None:
             rec.gauge("zones.frontier", len(frontier))
         astate, counts, zone = frontier.popleft()
+        if zone is None:
+            continue  # evicted by a larger zone of the same discrete state
         pre_enabled = enabled_classes(astate)
-        for action in automaton.enabled_actions(astate):
+        # Delay under the invariant depends only on the node: compute it
+        # once and let each action's guard narrow a copy.
+        delayed = apply_invariant(zone.copy().up(), pre_enabled)
+        for action in enabled_actions(astate):
             cls = partition.class_of(action)
             if cls is None:
                 raise ZoneError(
                     "action {!r} has no partition class (open system?)".format(action)
                 )
-            fire_zone = apply_invariant(zone.copy().up(), pre_enabled)
             lower = lower_bounds[cls.name]
             if lower > 0:
                 # x_0 − x_C ≤ −b_l(C)  ⇔  x_C ≥ b_l(C)
-                fire_zone.constrain(0, class_index[cls.name], le_bound(-lower))
+                fire_zone = delayed.copy().constrain(
+                    0, class_index[cls.name], le_bound(-lower)
+                )
+            else:
+                fire_zone = delayed  # read-only below: successors copy it
             if fire_zone.is_empty():
                 continue
             if budget is not None and not budget.charge_step():
@@ -319,18 +349,14 @@ def explore_zone_graph(
                 # Incremental successor construction: reuse the parent's
                 # canonical matrix and touch only the rows/columns of
                 # the clocks that actually reset (the fired class,
-                # pinned trivial classes, (re-)disabled or re-enabled
-                # classes, and triggered observers).
-                resets = [class_index[cls.name]]
-                for i, other in enumerate(classes):
-                    if other.name == cls.name:
-                        continue
-                    if other.name in trivial:
-                        resets.append(class_index[other.name])
-                    elif post_enabled[i] and not pre_enabled[i]:
-                        resets.append(class_index[other.name])
-                    elif not post_enabled[i]:
-                        resets.append(class_index[other.name])
+                # (re-)disabled or re-enabled classes, and triggered
+                # observers).
+                resets = [
+                    i + 1
+                    for i, other in enumerate(clocked)
+                    if other.name == cls.name
+                    or not (pre_enabled[i] and post_enabled[i])
+                ]
                 for obs in observers:
                     if action in obs.reset_on:
                         resets.append(observer_index[obs.name])
@@ -349,6 +375,17 @@ def explore_zone_graph(
                     if rec is not None:
                         rec.incr("zones.cache_hits")
                     continue
+                state_key = (post_astate, new_counts)
+                bucket = kept.get(state_key)
+                if bucket is not None and any(
+                    entry[2].includes(post_zone) for entry in bucket
+                ):
+                    # A kept zone covers it: every firing from here is
+                    # already a firing from the cover.
+                    visited.add(key)
+                    if rec is not None:
+                        rec.incr("zones.subsumed")
+                    continue
                 if result.nodes >= max_nodes:
                     result.truncated = True
                     return result
@@ -362,5 +399,19 @@ def explore_zone_graph(
                     rec.incr("zones.nodes")
                 if note_watch(post_astate):
                     return result
-                frontier.append((post_astate, new_counts, post_zone))
+                entry = [post_astate, new_counts, post_zone]
+                if bucket is None:
+                    kept[state_key] = [entry]
+                else:
+                    survivors = []
+                    for other in bucket:
+                        if post_zone.includes(other[2]):
+                            other[2] = None  # dead if still queued
+                            if rec is not None:
+                                rec.incr("zones.evicted")
+                        else:
+                            survivors.append(other)
+                    survivors.append(entry)
+                    kept[state_key] = survivors
+                frontier.append(entry)
     return result

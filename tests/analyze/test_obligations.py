@@ -124,11 +124,34 @@ class TestClosedFormAndDeferred:
         assert by_name["entry-bound"].verdict is Verdict.PROVED
         assert by_name["entry-bound"].method == "closed-form"
 
-    def test_tournament_width_4_defers_structured(self):
+    def test_tournament_width_4_proved_zone_exact(self):
         from repro.analyze import discharge_system
 
         by_name = {
             o.obligation: o for o in discharge_system("gen:tournament-4")
+        }
+        assert by_name["entry-lower"].verdict is Verdict.PROVED
+        upper = by_name["entry-upper"]
+        # The exact first-entry bound of the jittered bracket is
+        # 3*h*[s1, s2] = [6, 12]: its top meets the claim exactly.
+        assert upper.verdict is Verdict.PROVED
+        assert upper.method == "zone-exact"
+        assert "[6, 12]" in upper.detail
+        assert upper.to_check_outcome().ok
+        assert not upper.to_check_outcome().exhausted_budget
+
+    def test_tournament_width_4_defers_structured(self, monkeypatch):
+        from repro.analyze import obligations
+        from repro.systems.extensions import TournamentParams
+
+        # A zone budget too small for the bracket: the obligation stays
+        # a structured deferral instead of a guess.
+        monkeypatch.setattr(obligations, "_TOURNAMENT_ZONE_NODES", 100)
+        by_name = {
+            o.obligation: o
+            for o in obligations._tournament_obligations(
+                "gen:tournament-4", TournamentParams(n=4, s1=F(1), s2=F(2))
+            )
         }
         assert by_name["entry-lower"].verdict is Verdict.PROVED
         deferred = by_name["entry-upper"]

@@ -46,13 +46,13 @@ class TestBundles:
         assert not report.has_errors
         assert not report.fails(strict=True)
 
-    def test_tournament_4_defers_upper_bound(self):
-        verdicts = {
-            o.obligation: o.verdict
-            for o in build_bundle("gen:tournament-4").obligations()
+    def test_tournament_4_proves_upper_bound(self):
+        by_name = {
+            o.obligation: o for o in build_bundle("gen:tournament-4").obligations()
         }
-        assert verdicts["entry-lower"] is Verdict.PROVED
-        assert verdicts["entry-upper"] is Verdict.UNKNOWN
+        assert by_name["entry-lower"].verdict is Verdict.PROVED
+        assert by_name["entry-upper"].verdict is Verdict.PROVED
+        assert by_name["entry-upper"].method == "zone-exact"
 
     def test_ring_lap_bound_is_k_scaled_hop(self):
         from repro.timed import Interval

@@ -208,6 +208,21 @@ class TestEngineHooks:
         assert rec.counters["zones.canonicalize"] >= graph.nodes
         assert rec.counters["zones.transitions"] == graph.transitions > 0
 
+    def test_zone_graph_subsumption_counters(self):
+        from repro.gen import build_bundle
+        from repro.zones.zone_graph import explore_zone_graph
+
+        timed = build_bundle("gen:fischer-3").timed()
+        with recording() as rec:
+            graph = explore_zone_graph(timed, max_nodes=50_000)
+        assert not graph.truncated
+        assert rec.counters["zones.nodes"] == graph.nodes
+        # Fischer's zones nest: later arrivals at a discrete state both
+        # fall inside and swallow earlier ones.
+        assert rec.counters["zones.subsumed"] > 0
+        assert rec.counters["zones.evicted"] > 0
+        assert "zones.cache_hits" in rec.counters
+
     def test_checker_emits_outcome_and_mapping_evals(self):
         from repro.core import check_mapping_on_run
         from repro.sim import Simulator, UniformStrategy

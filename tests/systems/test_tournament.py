@@ -74,11 +74,8 @@ class TestTimedAnalysis:
         assert bounds.lo == 3 and bounds.hi == 6  # = Peterson's [3·s1, 3·s2]
 
     def test_n4_first_entry_deterministic_steps(self):
-        # With deterministic step times the zone graph stays small and
-        # the winner's 3-steps-per-level bound is exact: 3·h·s at both
-        # ends.  (With jittered steps the losers' busy-wait spins blow
-        # the zone graph past practical budgets — the scaling limit
-        # recorded in EXPERIMENTS E16; simulation covers that regime.)
+        # With deterministic step times the winner's 3-steps-per-level
+        # bound is exact: 3·h·s at both ends.
         params = TournamentParams(n=4, s1=F(1), s2=F(1))
         bounds = event_separation_bounds(
             tournament_system(params), enter_group(4), occurrence=1,
@@ -86,6 +83,18 @@ class TestTimedAnalysis:
         )
         expected = 3 * params.height * params.s1
         assert bounds.lo == expected and bounds.hi == expected
+        assert not bounds.lo_strict and not bounds.hi_strict
+
+    def test_n4_first_entry_jittered_steps(self):
+        # With jittered steps the losers' busy-wait spins multiply the
+        # zones per discrete state; keeping only the maximal ones makes
+        # the exact bound affordable: 3·h·[s1, s2] = [6, 12] (E16).
+        params = TournamentParams(n=4, s1=F(1), s2=F(2))
+        bounds = event_separation_bounds(
+            tournament_system(params), enter_group(4), occurrence=1,
+            max_nodes=150_000,
+        )
+        assert (bounds.lo, bounds.hi) == (6, 12)  # 3·h·[s1, s2], h = 2
         assert not bounds.lo_strict and not bounds.hi_strict
 
     def test_n4_timed_mutex_via_untimed(self):

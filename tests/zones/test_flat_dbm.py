@@ -9,6 +9,7 @@ both :class:`repro.zones.dbm.DBM` and the retired
 canonical forms agree cell for cell.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -184,3 +185,104 @@ class TestFlatMatchesReference:
         assert a == b
         assert a.key() == b.key()
         assert hash(a) == hash(b)
+
+
+_zone_op = st.tuples(
+    st.sampled_from(["up", "reset", "constrain", "constrain"]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-6, max_value=10),
+    st.booleans(),
+    st.sampled_from([1, 2, 3]),
+)
+
+
+def _replay(n, ops, flat, ref):
+    """Apply ``ops`` to both engines in lock-step; False once empty."""
+    for op, clock, other, value, strict, den in ops:
+        clock, other = min(clock, n), min(other, n)
+        if op == "up":
+            flat.up()
+            ref.up()
+        elif op == "reset":
+            flat.reset(clock)
+            ref.reset(clock)
+        elif clock != other:
+            bound = (lt_bound if strict else le_bound)(F(value, den))
+            flat.constrain(clock, other, bound)
+            ref.constrain(clock, other, bound)
+        if ref.is_empty():
+            return False
+    return True
+
+
+def _semantically_includes(outer, inner):
+    """``inner ⊆ outer`` decided by DBM intersection alone: no point of
+    ``inner`` violates any bound of ``outer``."""
+    size = outer.n + 1
+    for i in range(size):
+        for j in range(size):
+            value, flag = outer.m[i][j]
+            if i == j or value == math.inf:
+                continue
+            # ¬(x_i − x_j ≤ v)  is  x_j − x_i < −v  (≤ −v when strict).
+            negation = (-value, -1 if flag == 0 else 0)
+            if not inner.copy().constrain(j, i, negation).is_empty():
+                return False
+    return True
+
+
+_GRID = [F(k, 2) for k in range(13)]
+
+
+class TestIncludes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=2),
+        ops_a=st.lists(_zone_op, max_size=6),
+        ops_b=st.lists(_zone_op, max_size=6),
+        derive=st.booleans(),
+        scale_a=st.sampled_from([1, 2, 6]),
+        refine=st.sampled_from([1, 2, 5]),
+    )
+    def test_matches_reference_and_points(
+        self, n, ops_a, ops_b, derive, scale_a, refine
+    ):
+        """Flat and reference inclusion agree on random canonical zones
+        on mixed grids, match inclusion decided by intersection, and
+        never exclude a grid point of the included zone."""
+        flat_a, ref_a = DBM.zero(n, scale_a), ReferenceDBM.zero(n)
+        if not _replay(n, ops_a, flat_a, ref_a):
+            return
+        if derive:  # often nested in ``a``: constrain a copy further
+            flat_b, ref_b = flat_a.copy(), ref_a.copy()
+        else:
+            flat_b, ref_b = DBM.zero(n), ReferenceDBM.zero(n)
+        flat_b.rescale(flat_b.scale * refine)
+        if not _replay(n, ops_b, flat_b, ref_b):
+            return
+        assert flat_a.m == ref_a.m and flat_b.m == ref_b.m
+        for outer, inner, ref_outer, ref_inner in (
+            (flat_a, flat_b, ref_a, ref_b),
+            (flat_b, flat_a, ref_b, ref_a),
+        ):
+            verdict = outer.includes(inner)
+            assert verdict == ref_outer.includes(ref_inner)
+            assert verdict == _semantically_includes(ref_outer, ref_inner)
+            if verdict:
+                for point in itertools.product(_GRID, repeat=n):
+                    if inner.contains_point(point):
+                        assert outer.contains_point(point)
+
+    def test_reflexive_and_strictness(self):
+        closed = DBM.zero(1).up().constrain(1, 0, le_bound(3))
+        opened = DBM.zero(1, 4).up().constrain(1, 0, lt_bound(3))
+        assert closed.includes(closed)
+        assert closed.includes(opened) and not opened.includes(closed)
+        assert opened.scale == 4  # comparing did not rescale the operands
+
+    def test_clock_count_mismatch_rejected(self):
+        with pytest.raises(ZoneError):
+            DBM.zero(1).includes(DBM.zero(2))
+        with pytest.raises(ZoneError):
+            ReferenceDBM.zero(1).includes(ReferenceDBM.zero(2))

@@ -4,8 +4,9 @@ Every test replays the same workload through the flat encoded-integer
 engine (:class:`repro.zones.dbm.DBM`) and the retired object-based
 oracle (:class:`repro.zones.dbm_reference.ReferenceDBM`) and asserts
 the *observable* results are identical: reachable-node and transition
-counts (canonical-form uniqueness makes zone dedup representation-
-independent), firing-record bounds, separation bounds, verdicts, and
+counts (canonical-form uniqueness makes zone dedup, and cellwise
+inclusion makes maximal-zone subsumption, representation-independent),
+firing-record bounds, separation bounds, verdicts, and
 safety counterexamples.  CI runs the suite as its own step and
 surfaces the timing of both engines.
 """
