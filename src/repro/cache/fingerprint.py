@@ -36,10 +36,7 @@ CI still uses it as its ``actions/cache`` restore key, and it remains
 the fallback fingerprint.  :func:`verdict_key` derives one entry's
 address from the closure fingerprint plus the job's own identity:
 kind, system, and canonical JSON of the parameters that feed the check
-(budget caps, seeds, grid…).  The *engine* (serial/parallel) is
-deliberately **not** part of the key: the engines are byte-identical
-by construction (and tested to be), so either may consume a verdict
-the other produced.
+(budget caps, seeds, grid…).
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@
 engines, yet the argument parser needs every subcommand's choices and
 defaults.  This stdlib-only module is their single declaration; the
 modules that own each name (the builder registries, ``faults.perturb``,
-``par.engine``, ``runner.jobs``, ``lint.driver``, ``obs.bench``) import
-it from here, and ``tests/test_catalog.py`` pins every registry's keys
-to its entry below, in order.
+``runner.jobs``, ``lint.driver``, ``obs.bench``) import it from here,
+and ``tests/test_catalog.py`` pins every registry's keys to its entry
+below, in order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "BENCH_ITERATIONS",
     "BENCH_PROFILES",
     "DIRECTIONS",
-    "ENGINE_KINDS",
     "GEN_PREFIX",
     "JOB_KINDS",
     "LINT_MAX_STATES",
@@ -61,9 +60,6 @@ DIRECTIONS = ("widen", "tighten")
 #: Campaign job kinds (``repro.runner.jobs``) in scheduling order: cheap
 #: static checks first, fuzz campaigns (the most expensive unit) last.
 JOB_KINDS = ("lint", "analyze", "check", "perturb", "bench", "fuzz")
-
-#: Verification engines accepted by ``--engine`` (``repro.par.engine``).
-ENGINE_KINDS = ("serial", "parallel")
 
 #: The namespace prefix that marks a generated-system name
 #: (``repro.gen.names``).

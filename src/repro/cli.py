@@ -15,8 +15,7 @@ writing code:
                boundmaps, timing conditions and mapping hierarchies;
 - ``check``    full nominal verification of a shipped system —
                exploration, exhaustive Definition 3.2 mapping checks and
-               the proof battery, engine-selectable
-               (``--engine parallel``) and verdict-cached;
+               the proof battery, verdict-cached;
 - ``perturb``  fault injection: how much drift do the proofs survive?;
 - ``bench``    perf-trajectory benchmark runner (``BENCH_<n>.json``);
 - ``trace``    replayable JSONL telemetry trace of a checked run;
@@ -169,18 +168,6 @@ def _add_sim_arguments(parser) -> None:
     )
 
 
-def _add_engine_arguments(parser) -> None:
-    parser.add_argument(
-        "--engine", choices=list(catalog.ENGINE_KINDS), default=None,
-        help="verification engine (default: serial; parallel is "
-             "byte-identical, just faster on multi-core machines)",
-    )
-    parser.add_argument(
-        "--engine-workers", type=_positive_int, default=None, metavar="N",
-        help="worker processes for --engine parallel (default: cores - 1)",
-    )
-
-
 def _add_cache_argument(parser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -194,16 +181,6 @@ def _cli_cache(args):
     from repro.cache import default_cache
 
     return default_cache(enabled=False if args.no_cache else None)
-
-
-def _engine_scope(args):
-    """Scope the process-wide engine to this command's ``--engine``."""
-    from repro.par.engine import engine_scope
-
-    return engine_scope(
-        getattr(args, "engine", None),
-        workers=getattr(args, "engine_workers", None),
-    )
 
 
 def _print_cache_stats(cache) -> None:
@@ -465,8 +442,7 @@ def _lint_entry(name: str, args) -> dict:
     """Lint one system: the cache entry a miss computes and stores."""
     from repro.lint import build_target, lint_system
 
-    with _engine_scope(args):
-        report = lint_system(build_target(name), max_states=args.max_states)
+    report = lint_system(build_target(name), max_states=args.max_states)
     return {
         "system": name,
         "diagnostics": report.to_dicts(),
@@ -520,8 +496,7 @@ def _analyze_entry(name: str, args, cache) -> dict:
     """Analyze one system: the cache entry a miss computes and stores."""
     from repro.analyze import analyze_system, record_proved_mappings
 
-    with _engine_scope(args):
-        report = analyze_system(name)
+    report = analyze_system(name)
     # Fully-proved mappings become cache entries that let a warm
     # `repro check` skip their exhaustive sweeps.
     record_proved_mappings(cache, report)
@@ -618,8 +593,7 @@ def cmd_perturb(args) -> int:
             entry = None if cache is None else cache.lookup("perturb", name, parts)
             cached = entry is not None
             if entry is None:
-                with _engine_scope(args):
-                    outcome = target.evaluate(args.epsilon, factory())
+                outcome = target.evaluate(args.epsilon, factory())
                 entry = {
                     "system": name,
                     "direction": target.direction,
@@ -654,12 +628,11 @@ def cmd_perturb(args) -> int:
                     ).rstrip()
                 )
         else:
-            with _engine_scope(args):
-                report = target.search(
-                    resolution=args.resolution,
-                    ceiling=args.ceiling,
-                    budget_factory=factory,
-                )
+            report = target.search(
+                resolution=args.resolution,
+                ceiling=args.ceiling,
+                budget_factory=factory,
+            )
             failed = failed or (report.broken and not target.expected_broken)
             payload.append(report.to_dict())
             if not args.json:
@@ -686,13 +659,12 @@ def cmd_bench(args) -> int:
     systems = args.system or None
     suite_rows = os.path.join(args.root, "benchmarks", "bench_rows.jsonl")
     cache = _cli_cache(args)
-    with _engine_scope(args):
-        report = _bench.run_bench(
-            systems=systems,
-            iterations=args.iterations,
-            suite_rows_path=suite_rows,
-            cache=cache,
-        )
+    report = _bench.run_bench(
+        systems=systems,
+        iterations=args.iterations,
+        suite_rows_path=suite_rows,
+        cache=cache,
+    )
     previous_path = args.compare or _bench.latest_bench_path(args.root)
     out_path = args.out or _bench.next_bench_path(args.root)
     comparison = None
@@ -839,8 +811,6 @@ def cmd_run(args) -> int:
                 prior_outcomes=prior,
                 write_header=write_header,
                 cache=_cli_cache(args),
-                engine=args.engine,
-                engine_workers=args.engine_workers,
                 job_cache=False if args.no_cache else None,
             )
             report = coordinator.run()
@@ -856,8 +826,6 @@ def cmd_run(args) -> int:
                 campaign_id=campaign_id,
                 prior_outcomes=prior,
                 write_header=write_header,
-                engine=args.engine,
-                engine_workers=args.engine_workers,
                 cache=False if args.no_cache else None,
             )
             report = supervisor.run()
@@ -881,46 +849,45 @@ def _check_entry(name: str, args, cache) -> dict:
 
     factory = _perturb_budget_factory(args)
     start = _time.perf_counter()
-    with _engine_scope(args):
-        automaton, cap = explore_automaton(name)
-        result = explore(automaton, max_states=cap, budget=factory())
-        mappings = []
-        mappings_ok = True
-        exhausted = result.exhausted_budget
-        for label, mapping, grid, horizon in mapping_specs(name):
-            # A mapping the static analyzer already proved (all
-            # obligations PROVED under the current analyze closure)
-            # needs no exhaustive sweep.
-            if lookup_static_mapping(cache, name, label) is not None:
-                mappings.append(
-                    {
-                        "mapping": label,
-                        "ok": True,
-                        "static": True,
-                        "steps_checked": 0,
-                        "exhausted_budget": False,
-                        "detail": "statically proved (repro.analyze)",
-                    }
-                )
-                continue
-            outcome = check_mapping_exhaustive(
-                mapping, grid=grid, horizon=horizon, budget=factory()
-            )
-            mappings_ok = mappings_ok and outcome.ok
-            exhausted = exhausted or outcome.exhausted_budget
+    automaton, cap = explore_automaton(name)
+    result = explore(automaton, max_states=cap, budget=factory())
+    mappings = []
+    mappings_ok = True
+    exhausted = result.exhausted_budget
+    for label, mapping, grid, horizon in mapping_specs(name):
+        # A mapping the static analyzer already proved (all
+        # obligations PROVED under the current analyze closure)
+        # needs no exhaustive sweep.
+        if lookup_static_mapping(cache, name, label) is not None:
             mappings.append(
                 {
                     "mapping": label,
-                    "ok": outcome.ok,
-                    "steps_checked": outcome.steps_checked,
-                    "exhausted_budget": outcome.exhausted_budget,
-                    "detail": outcome.detail,
+                    "ok": True,
+                    "static": True,
+                    "steps_checked": 0,
+                    "exhausted_budget": False,
+                    "detail": "statically proved (repro.analyze)",
                 }
             )
-        target = build_perturb_target(
-            name, seeds=args.seeds, steps=args.steps, seed=args.seed
+            continue
+        outcome = check_mapping_exhaustive(
+            mapping, grid=grid, horizon=horizon, budget=factory()
         )
-        battery = target.evaluate(Fraction(0), factory())
+        mappings_ok = mappings_ok and outcome.ok
+        exhausted = exhausted or outcome.exhausted_budget
+        mappings.append(
+            {
+                "mapping": label,
+                "ok": outcome.ok,
+                "steps_checked": outcome.steps_checked,
+                "exhausted_budget": outcome.exhausted_budget,
+                "detail": outcome.detail,
+            }
+        )
+    target = build_perturb_target(
+        name, seeds=args.seeds, steps=args.steps, seed=args.seed
+    )
+    battery = target.evaluate(Fraction(0), factory())
     exhausted = exhausted or battery.exhausted_budget
     return {
         "system": name,
@@ -1272,7 +1239,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=catalog.LINT_MAX_STATES,
         help="cap on bounded exploration per automaton",
     )
-    _add_engine_arguments(lint)
     _add_cache_argument(lint)
     lint.set_defaults(func=cmd_lint)
 
@@ -1292,7 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--strict", action="store_true", help="treat warnings as failures"
     )
-    _add_engine_arguments(analyze)
     _add_cache_argument(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -1323,7 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    _add_engine_arguments(check)
     _add_cache_argument(check)
     check.set_defaults(func=cmd_check)
 
@@ -1386,7 +1350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wall-time", type=_fraction, default=Fraction(60),
         help="budget: seconds of wall time per probe",
     )
-    _add_engine_arguments(perturb)
     _add_cache_argument(perturb)
     perturb.set_defaults(func=cmd_perturb)
 
@@ -1421,7 +1384,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--json", action="store_true", help="machine-readable report + comparison"
     )
-    _add_engine_arguments(bench)
     _add_cache_argument(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -1504,7 +1466,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="instances per fuzz shard job (shards resume independently)",
     )
     run.add_argument("--json", action="store_true", help="machine-readable report")
-    _add_engine_arguments(run)
     _add_cache_argument(run)
     run.set_defaults(func=cmd_run)
 

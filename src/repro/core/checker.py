@@ -25,11 +25,9 @@ from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingCheckError, TimingViolationError
 from repro.obs import instrument as _telemetry
-from repro.par import engine as _engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses core)
     from repro.faults.budget import Budget
-    from repro.par.engine import EngineConfig
 from repro.timed.timed_sequence import TimedSequence
 from repro.core.discretize import discrete_options
 from repro.core.mappings import MappingChain, StrongPossibilitiesMapping
@@ -236,7 +234,6 @@ def check_mapping_exhaustive(
     horizon,
     max_pairs: int = 200_000,
     budget: Optional["Budget"] = None,
-    engine: Optional["EngineConfig"] = None,
 ) -> CheckOutcome:
     """Check a mapping on *every* execution of the source automaton
     whose event times are multiples of ``grid``, up to absolute time
@@ -245,23 +242,7 @@ def check_mapping_exhaustive(
     Explores the product of source states and deterministic witnesses
     breadth-first.  Exhaustive for the grid semantics; raises the same
     two obligations as :func:`check_mapping_on_run` at every step.
-
-    ``engine`` selects the serial or parallel obligation scheduler
-    (``None`` defers to the process-wide choice); the parallel engine
-    of :mod:`repro.par.obligations` returns byte-identical outcomes.
     """
-    config = _engine.resolve_engine(engine)
-    if config.parallel:
-        from repro.par.obligations import check_mapping_exhaustive_parallel
-
-        return check_mapping_exhaustive_parallel(
-            mapping,
-            grid,
-            horizon,
-            max_pairs=max_pairs,
-            budget=budget,
-            config=config,
-        )
     rec = _telemetry._ACTIVE
     seen = set()
     frontier: deque = deque()

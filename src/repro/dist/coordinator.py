@@ -184,8 +184,6 @@ class DistCoordinator:
         write_header: bool = True,
         recorder: Optional[Recorder] = None,
         cache=None,
-        engine: Optional[str] = None,
-        engine_workers: Optional[int] = None,
         job_cache: Optional[bool] = None,
         local_fallback: bool = True,
         breakers: Optional[BreakerBoard] = None,
@@ -199,8 +197,6 @@ class DistCoordinator:
         self.prior_outcomes = dict(prior_outcomes or {})
         self.write_header = write_header
         self.cache = cache
-        self.engine = engine
-        self.engine_workers = engine_workers
         self.job_cache = job_cache
         self.local_fallback = local_fallback
         self.poll_interval = poll_interval
@@ -390,8 +386,6 @@ class DistCoordinator:
                 state.job,
                 state.budget_scale,
                 self.config.timeout,
-                engine=self.engine,
-                engine_workers=self.engine_workers,
                 cache=self.job_cache,
             ),
             "epoch": lease.epoch,
@@ -613,8 +607,6 @@ class DistCoordinator:
             campaign_id=self.campaign_id,
             write_header=write_header,
             recorder=self.recorder,
-            engine=self.engine,
-            engine_workers=self.engine_workers,
             cache=self.job_cache,
         )
 

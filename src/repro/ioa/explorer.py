@@ -15,11 +15,9 @@ from repro.errors import AutomatonError
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.execution import Execution
 from repro.obs import instrument as _telemetry
-from repro.par import engine as _engine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses ioa)
     from repro.faults.budget import Budget
-    from repro.par.engine import EngineConfig
 
 __all__ = [
     "ExplorationResult",
@@ -68,7 +66,6 @@ def explore(
     max_states: int = 100_000,
     max_depth: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    engine: Optional["EngineConfig"] = None,
 ) -> ExplorationResult:
     """Breadth-first exploration of the reachable states of ``automaton``.
 
@@ -77,23 +74,7 @@ def explore(
     additionally caps states, transitions and wall time; budget
     exhaustion returns the partial result with ``exhausted_budget`` set
     rather than raising.
-
-    ``engine`` picks the execution engine (``"serial"``, ``"parallel"``
-    or an :class:`~repro.par.engine.EngineConfig`); ``None`` defers to
-    the process-wide choice.  The parallel engine returns byte-identical
-    results — see :mod:`repro.par.explorer`.
     """
-    config = _engine.resolve_engine(engine)
-    if config.parallel:
-        from repro.par.explorer import explore_parallel
-
-        return explore_parallel(
-            automaton,
-            max_states=max_states,
-            max_depth=max_depth,
-            budget=budget,
-            config=config,
-        )
     rec = _telemetry._ACTIVE
     result = ExplorationResult(reachable=set(), transitions_explored=0, truncated=False)
     frontier: deque = deque()
@@ -176,7 +157,6 @@ def check_invariant(
     max_states: int = 100_000,
     max_depth: Optional[int] = None,
     budget: Optional["Budget"] = None,
-    engine: Optional["EngineConfig"] = None,
 ) -> InvariantReport:
     """Check ``predicate`` on every reachable state (up to the limits).
 
@@ -184,22 +164,7 @@ def check_invariant(
     counterexample execution.  With a ``budget``, exhaustion yields a
     partial ``holds=True`` report flagged ``exhausted_budget`` — the
     invariant held on everything visited, but the check is inconclusive.
-
-    ``engine`` selects the serial or parallel engine exactly as in
-    :func:`explore`; verdicts and counterexamples are identical.
     """
-    config = _engine.resolve_engine(engine)
-    if config.parallel:
-        from repro.par.explorer import check_invariant_parallel
-
-        return check_invariant_parallel(
-            automaton,
-            predicate,
-            max_states=max_states,
-            max_depth=max_depth,
-            budget=budget,
-            config=config,
-        )
     rec = _telemetry._ACTIVE
     result = ExplorationResult(reachable=set(), transitions_explored=0, truncated=False)
     frontier: deque = deque()

@@ -439,57 +439,6 @@ def _profile_gen_scaling(iterations: int) -> Dict[str, Any]:
     return meta
 
 
-def _profile_par_speedup(iterations: int) -> Dict[str, Any]:
-    """Serial vs parallel wall time on the heaviest shipped workload:
-    the Section 4.3 resource-manager mapping checked exhaustively at a
-    fine grid and long horizon.
-
-    The serial leg runs once; the parallel leg takes the best of two
-    (the first pays the fork warm-up).  The record's ``meta`` carries
-    the ratio CI gates on (``speedup``) plus a ``verdicts_match`` bit
-    re-asserting engine equivalence on this very workload.
-    """
-    from repro.core.checker import check_mapping_exhaustive
-    from repro.par.engine import EngineConfig
-    from repro.par.surface import mapping_specs
-
-    _label, mapping, _grid, _horizon = mapping_specs("rm")[0]
-    grid, horizon = Fraction(1, 4), Fraction(14)
-    workers = int(
-        os.environ.get("REPRO_BENCH_WORKERS", min(4, os.cpu_count() or 1))
-    )
-    workers = max(2, workers)
-    start = time.perf_counter()
-    serial = check_mapping_exhaustive(
-        mapping, grid=grid, horizon=horizon, engine=EngineConfig()
-    )
-    serial_wall = time.perf_counter() - start
-    config = EngineConfig(kind="parallel", workers=workers)
-    parallel = None
-    parallel_wall = None
-    for _attempt in range(2):
-        start = time.perf_counter()
-        parallel = check_mapping_exhaustive(
-            mapping, grid=grid, horizon=horizon, engine=config
-        )
-        wall = time.perf_counter() - start
-        parallel_wall = wall if parallel_wall is None else min(parallel_wall, wall)
-    verdicts_match = (serial.ok, serial.steps_checked, serial.detail) == (
-        parallel.ok,
-        parallel.steps_checked,
-        parallel.detail,
-    )
-    return {
-        "ok": serial.ok and verdicts_match,
-        "verdicts_match": verdicts_match,
-        "steps": serial.steps_checked,
-        "workers": workers,
-        "serial_wall": serial_wall,
-        "parallel_wall": parallel_wall,
-        "speedup": serial_wall / parallel_wall if parallel_wall else 0.0,
-    }
-
-
 def _profile_static_speedup(iterations: int) -> Dict[str, Any]:
     """Static obligation discharge vs exploratory mapping check on the
     two mapping-bearing workhorses (rm, relay).
@@ -506,9 +455,9 @@ def _profile_static_speedup(iterations: int) -> Dict[str, Any]:
     from repro.core.checker import check_mapping_exhaustive
     from repro.par.surface import mapping_specs
 
-    # rm's exploratory leg runs at the same fine reference grid the
-    # par-speedup profile gates on (its surface grid is a coarse
-    # smoke); relay's surface spec is already representative.
+    # rm's exploratory leg runs at a fine reference grid (its surface
+    # grid is a coarse smoke); relay's surface spec is already
+    # representative.
     overrides = {"rm": (Fraction(1, 4), Fraction(14))}
     meta: Dict[str, Any] = {}
     ok = True
@@ -771,7 +720,6 @@ PROFILES: Dict[str, Callable[[int], Dict[str, Any]]] = {
 #: machine-shaped by design (what matters is a ratio in ``meta``), so
 #: they never enter the BENCH trajectory unless explicitly requested.
 EXTRA_PROFILES: Dict[str, Callable[[int], Dict[str, Any]]] = {
-    "par-speedup": _profile_par_speedup,
     "static-speedup": _profile_static_speedup,
     "serve-throughput": _profile_serve_throughput,
     "dist-scaling": _profile_dist_scaling,
@@ -822,7 +770,7 @@ def run_bench(
     records round-trip through it: an unchanged source tree reuses the
     record (wall time included — it was measured on this exact code),
     which is what lets a cache-warm CI skip re-benching settled
-    revisions.  :data:`EXTRA_PROFILES` (``par-speedup``) are never
+    revisions.  :data:`EXTRA_PROFILES` (``static-speedup``, …) are never
     cached — their whole product is a fresh measurement.
     """
     names = list(systems) if systems else list(PROFILES)

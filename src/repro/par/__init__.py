@@ -1,68 +1,4 @@
-"""``repro.par`` — the opt-in parallel verification engine.
-
-Frontier-sharded reachability (:mod:`repro.par.explorer`) and a
-parallel obligation scheduler for the mapping checkers
-(:mod:`repro.par.obligations`), both built on the fork-pool substrate
-of :mod:`repro.par.engine` and both **byte-identical** to their serial
-counterparts — state sets, transition counts, verdicts, details and
-seeded telemetry all match, including under mid-stream Budget cuts.
-
-Select the engine per call (``explore(..., engine="parallel")``),
-process-wide (:func:`set_engine`) or scoped (:func:`engine_scope`, what
-the ``--engine`` CLI flags use).  Where no fork pool can exist (inside
-the daemonic campaign workers of :mod:`repro.runner`, or on platforms
-without ``fork``) every entry point degrades to the serial engine and
-counts ``par.fallbacks``.
-
-The explorer and obligation modules import the serial engines, which
-in turn import :mod:`repro.par.engine` for dispatch — so this package
-root stays import-light and loads them lazily.
+"""``repro.par`` — home of :mod:`repro.par.surface`, the per-system
+verification surface shared by ``python -m repro check``, the bench
+profiles and the static analyzer.
 """
-
-from repro.par.engine import (
-    ENGINE_KINDS,
-    EngineConfig,
-    EngineUnavailable,
-    current_engine,
-    default_workers,
-    engine_scope,
-    resolve_engine,
-    set_engine,
-)
-
-__all__ = [
-    "ENGINE_KINDS",
-    "EngineConfig",
-    "EngineUnavailable",
-    "current_engine",
-    "default_workers",
-    "engine_scope",
-    "resolve_engine",
-    "set_engine",
-    "explore_parallel",
-    "check_invariant_parallel",
-    "check_mapping_exhaustive_parallel",
-    "surface_names",
-    "explore_automaton",
-    "mapping_specs",
-]
-
-_LAZY = {
-    "explore_parallel": "repro.par.explorer",
-    "check_invariant_parallel": "repro.par.explorer",
-    "check_mapping_exhaustive_parallel": "repro.par.obligations",
-    "surface_names": "repro.par.surface",
-    "explore_automaton": "repro.par.surface",
-    "mapping_specs": "repro.par.surface",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(_LAZY[name])
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError("module {!r} has no attribute {!r}".format(__name__, name))

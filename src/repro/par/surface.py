@@ -1,11 +1,11 @@
-"""The per-system verification surface the engines are raced on.
+"""The per-system verification surface.
 
-One registry, three consumers: ``python -m repro check`` (engine-aware
-reachability sweep + mapping obligations per system), the
-serial/parallel equivalence tests, and the ``par-speedup`` bench
-profile.  Parameters mirror the canonical builds used by
-:mod:`repro.faults.targets` and :mod:`repro.obs.bench`, so a cache key
-derived from this surface describes the same work those paths do.
+One registry, several consumers: ``python -m repro check``
+(reachability sweep + mapping obligations per system), the static
+analyzer (:mod:`repro.analyze`) and the bench profiles.  Parameters
+mirror the canonical builds used by :mod:`repro.faults.targets` and
+:mod:`repro.obs.bench`, so a cache key derived from this surface
+describes the same work those paths do.
 """
 
 from __future__ import annotations

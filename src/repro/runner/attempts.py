@@ -140,8 +140,6 @@ def attempt_body(
     job: Job,
     budget_scale: int,
     timeout: float,
-    engine: Optional[str] = None,
-    engine_workers: Optional[int] = None,
     cache: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """The ``Job.to_dict()`` body one attempt runs."""
@@ -149,13 +147,8 @@ def attempt_body(
     params = dict(body["params"])
     params["budget_scale"] = budget_scale
     params["timeout"] = timeout
-    # Campaign-wide engine/cache choices travel as job params so they
-    # survive the spawn boundary (workers reuse the cache and rebuild
-    # the engine from scratch in their fresh interpreters).
-    if engine is not None:
-        params["engine"] = engine
-        if engine_workers is not None:
-            params["workers"] = engine_workers
+    # The campaign-wide cache choice travels as a job param so it
+    # survives the spawn boundary.
     if cache is not None:
         params["cache"] = cache
     body["params"] = params

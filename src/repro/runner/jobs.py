@@ -336,11 +336,10 @@ _EXECUTORS = {
 }
 
 #: Job params that change *how* a verdict is computed, never *what* it
-#: is — excluded from the verdict-cache key.  ``engine`` and ``workers``
-#: stay out by design (the engines are byte-identical); ``timeout`` is
-#: the supervisor's watchdog, not part of the check; ``cache`` is the
-#: gate itself.
-_UNCACHED_PARAMS = frozenset({"engine", "workers", "timeout", "cache", "artifacts"})
+#: is — excluded from the verdict-cache key.  ``timeout`` is the
+#: supervisor's watchdog, not part of the check; ``cache`` is the gate
+#: itself.
+_UNCACHED_PARAMS = frozenset({"timeout", "cache", "artifacts"})
 
 
 def job_cache_parts(job: Job) -> Optional[Dict[str, Any]]:
@@ -400,9 +399,7 @@ def execute_job(job: Job) -> Dict[str, Any]:
     through the content-addressed verdict cache: a warm hit returns the
     stored payload with ``cached: True`` and a telemetry snapshot
     reduced to ``cache.hits`` — replaying the original work counters
-    would double-count work that did not happen.  ``params["engine"]``
-    (with optional ``params["workers"]``) scopes the parallel engine
-    for the duration of the job.
+    would double-count work that did not happen.
     """
     start = time.perf_counter()
     cache, cache_parts = _job_cache(job)
@@ -420,19 +417,8 @@ def execute_job(job: Job) -> Dict[str, Any]:
     error: Optional[Dict[str, Any]] = None
     ok, conclusive, exhausted, detail = False, True, False, ""
     try:
-        engine = job.params.get("engine")
-        workers = job.params.get("workers")
         with recording(recorder):
-            if engine is None:
-                # No opinion: leave whatever engine the process has.
-                ok, conclusive, exhausted, detail = _EXECUTORS[job.kind](job)
-            else:
-                from repro.par.engine import engine_scope
-
-                with engine_scope(
-                    engine, workers=None if workers is None else int(workers)
-                ):
-                    ok, conclusive, exhausted, detail = _EXECUTORS[job.kind](job)
+            ok, conclusive, exhausted, detail = _EXECUTORS[job.kind](job)
     except ReproError as exc:
         error = exc.to_dict()
         detail = str(exc)

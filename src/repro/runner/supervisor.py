@@ -95,8 +95,6 @@ class Supervisor:
         stop_after: Optional[int] = None,
         poll_interval: float = 0.02,
         recorder: Optional[Recorder] = None,
-        engine: Optional[str] = None,
-        engine_workers: Optional[int] = None,
         cache: Optional[bool] = None,
     ):
         if workers < 0:
@@ -116,8 +114,6 @@ class Supervisor:
         self.write_header = write_header
         self.stop_after = stop_after
         self.poll_interval = poll_interval
-        self.engine = engine
-        self.engine_workers = engine_workers
         self.cache = cache
         self.recorder = recorder if recorder is not None else Recorder(
             name="runner." + self.campaign_id, max_events=0
@@ -136,8 +132,6 @@ class Supervisor:
             state.job,
             state.budget_scale,
             self.timeout,
-            engine=self.engine,
-            engine_workers=self.engine_workers,
             cache=self.cache,
         )
 

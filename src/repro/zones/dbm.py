@@ -28,13 +28,12 @@ tuple/Fraction allocation on the hot path, ``memcpy``-speed copies,
 what lifts ``zones.query`` by an order of magnitude on the bench
 trajectory (BENCH_5 vs BENCH_4).
 
-Canonicalisation has an optional numpy fast path (import-guarded; the
-results are byte-identical to the pure-python loop because both are
-exact int64 arithmetic).  Only the operations needed for forward
-reachability of timed automata are provided: canonicalisation
-(Floyd–Warshall), emptiness, constraint intersection (incremental
-O(n²) tightening), delay (``up``), single/batched clock resets, and
-zone inclusion (for the zone graph's subsumption).
+Only the operations needed for forward reachability of timed automata
+are provided: canonicalisation (Floyd–Warshall, for manual cell edits;
+the operations below preserve canonical form themselves), emptiness,
+constraint intersection (incremental O(n²) tightening), delay
+(``up``), single/batched clock resets, and zone inclusion (for the
+zone graph's subsumption).
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ZoneError
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "Bound",
@@ -75,7 +69,7 @@ ZERO_BOUND: Bound = (Fraction(0), 0)
 #: Encoded ``≤ ∞`` sentinel: any cell ``>= INF_ENC`` reads as infinite.
 #: Far above any sum of legal finite cells (see :data:`_MAX_MAGNITUDE`)
 #: yet small enough that ``INF_ENC + INF_ENC`` stays inside int64, so
-#: the numpy canonicalisation path cannot overflow.
+#: every cell sum fits the ``array('q')`` machine word.
 INF_ENC = 1 << 60
 
 #: Encoded ``≤ 0``.
@@ -245,15 +239,8 @@ class DBM:
     # ------------------------------------------------------------------
 
     def canonicalize(self) -> "DBM":
-        """Floyd–Warshall tightening; call after manual cell edits.
-
-        Uses the numpy fast path when numpy is importable and the
-        matrix is big enough to amortise the conversion; the two paths
-        are byte-identical (exact int64 arithmetic in both).
-        """
+        """Floyd–Warshall tightening; call after manual cell edits."""
         size = self.n + 1
-        if _np is not None and size >= 6:
-            return self._canonicalize_np()
         cells = self.cells
         inf = INF_ENC
         for k in range(size):
@@ -270,35 +257,6 @@ class DBM:
                     cand = ik + kj - ((ik | kj) & 1)
                     if cand < cells[irow + j]:
                         cells[irow + j] = cand
-        return self
-
-    def _canonicalize_np(self) -> "DBM":  # pragma: no cover - numpy-only
-        size = self.n + 1
-        arr = _np.frombuffer(self.cells.tobytes(), dtype=_np.int64).reshape(
-            size, size
-        ).copy()
-        inf = INF_ENC
-        for k in range(size):
-            col = arr[:, k].reshape(size, 1)
-            row = arr[k, :].reshape(1, size)
-            finite = (col < inf) & (row < inf)
-            cand = _np.full((size, size), inf, dtype=_np.int64)
-            _np.add(
-                _np.broadcast_to(col, (size, size)),
-                _np.broadcast_to(row, (size, size)),
-                out=cand,
-                where=finite,
-            )
-            _np.subtract(
-                cand,
-                (col | row) & 1,
-                out=cand,
-                where=finite,
-            )
-            _np.minimum(arr, cand, out=arr)
-        fresh = array("q")
-        fresh.frombytes(arr.tobytes())
-        self.cells = fresh
         return self
 
     def is_empty(self) -> bool:

@@ -16,7 +16,7 @@ same external ``(value, flag)`` vocabulary; only the storage differs.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ZoneError
 from repro.zones.dbm import (
@@ -132,6 +132,12 @@ class ReferenceDBM:
         self.m[clock][clock] = ZERO_BOUND
         self.m[clock][0] = ZERO_BOUND
         self.m[0][clock] = ZERO_BOUND
+        return self
+
+    def reset_many(self, clocks: Iterable[int]) -> "ReferenceDBM":
+        """Sequential :meth:`reset` of every clock in ``clocks``."""
+        for clock in clocks:
+            self.reset(clock)
         return self
 
     # ------------------------------------------------------------------

@@ -241,7 +241,6 @@ def explore_zone_graph(
         )
     else:
         initial_zone = dbm_cls.zero(total_clocks)
-    batch_reset = hasattr(initial_zone, "reset_many")
     zero_counts = tuple(0 for _ in counters)
 
     watched_seen = set()
@@ -268,7 +267,7 @@ def explore_zone_graph(
     kept: Dict[Tuple[Hashable, Tuple[int, ...]], List[list]] = {}
     frontier: deque = deque()
     if rec is not None:
-        rec.incr("zones.canonicalize")
+        rec.incr("zones.successors")
     start_key = (start_astate, zero_counts, initial_zone.key())
     if budget is not None and not budget.charge_state():
         result.truncated = True
@@ -360,14 +359,9 @@ def explore_zone_graph(
                 for obs in observers:
                     if action in obs.reset_on:
                         resets.append(observer_index[obs.name])
-                post_zone = fire_zone.copy()
-                if batch_reset:
-                    post_zone.reset_many(resets)
-                else:
-                    for clock in resets:
-                        post_zone.reset(clock)
+                post_zone = fire_zone.copy().reset_many(resets)
                 if rec is not None:
-                    rec.incr("zones.canonicalize")
+                    rec.incr("zones.successors")
                 zone_key = post_zone.key()
                 zone_key = interned.setdefault(zone_key, zone_key)
                 key = (post_astate, new_counts, zone_key)

@@ -205,7 +205,7 @@ class TestEngineHooks:
         with recording() as rec:
             graph = explore_zone_graph(timed, max_nodes=10_000)
         assert rec.counters["zones.nodes"] == graph.nodes
-        assert rec.counters["zones.canonicalize"] >= graph.nodes
+        assert rec.counters["zones.successors"] >= graph.nodes
         assert rec.counters["zones.transitions"] == graph.transitions > 0
 
     def test_zone_graph_subsumption_counters(self):

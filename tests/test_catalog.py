@@ -20,6 +20,12 @@ def test_verification_surface():
     assert surface_names() == catalog.SURFACE_SYSTEMS
 
 
+def test_surface_has_seven_systems():
+    from repro.par.surface import surface_names
+
+    assert len(surface_names()) == 7
+
+
 def test_analyze_systems():
     from repro.analyze import analyze_names
 
@@ -52,12 +58,10 @@ def test_owned_constants_come_from_the_catalog():
     from repro.faults.perturb import DIRECTIONS, MODES
     from repro.gen.names import GEN_PREFIX
     from repro.lint import DEFAULT_MAX_STATES
-    from repro.par.engine import ENGINE_KINDS
     from repro.runner.jobs import JOB_KINDS
 
     assert MODES is catalog.MODES
     assert DIRECTIONS is catalog.DIRECTIONS
-    assert ENGINE_KINDS is catalog.ENGINE_KINDS
     assert JOB_KINDS is catalog.JOB_KINDS
     assert GEN_PREFIX == catalog.GEN_PREFIX
     assert DEFAULT_MAX_STATES == catalog.LINT_MAX_STATES

@@ -1,4 +1,4 @@
-"""Tests for ``python -m repro check`` (engine- and cache-aware sweep)."""
+"""Tests for ``python -m repro check`` (cache-aware sweep)."""
 
 import json
 
@@ -45,19 +45,6 @@ class TestCheckCommand:
         entry = json.loads(out)
         assert not entry["ok"]
         assert entry["expected_broken"]
-
-    def test_parallel_engine_matches_serial(self, capsys):
-        code, serial_out, _ = _check(["chain", "--json"], capsys)
-        assert code == 0
-        code, parallel_out, _ = _check(
-            ["chain", "--json", "--engine", "parallel", "--engine-workers", "2"],
-            capsys,
-        )
-        assert code == 0
-        serial = json.loads(serial_out)
-        parallel = json.loads(parallel_out)
-        serial.pop("wall"), parallel.pop("wall")
-        assert serial == parallel
 
     def test_warm_rerun_hits_cache(self, warm_cache_env, capsys):
         code, _, err = _check(["chain", "--json"], capsys)

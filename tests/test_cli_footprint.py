@@ -1,9 +1,11 @@
-"""What a process loads for ``repro --help`` and for a warm verdict.
+"""What a process loads for ``repro --help``, a warm verdict and the
+engines themselves.
 
-Each command runs as a real ``python -m repro`` child under
-``-X importtime``, whose report names every module the process
-imported.  Neither ``--help`` nor a cache hit may load numpy or any
-engine package: they cost a parser build and one cache read.
+Each command runs as a real ``python`` child under ``-X importtime``,
+whose report names every module the process imported.  Neither
+``--help`` nor a cache hit may load numpy or any engine package: they
+cost a parser build and one cache read.  The engines are pure python,
+so importing them must not load numpy either.
 """
 
 import json
@@ -25,15 +27,22 @@ ENGINE_PACKAGES = (
 
 WARM_COMMANDS = (("lint", "rm"), ("analyze", "fischer"), ("check", "fischer"))
 
+#: Modules whose import pulls in a verification engine.
+ENGINE_ENTRY_POINTS = (
+    "repro.zones.zone_graph", "repro.core.checker", "repro.ioa.explorer",
+    "repro.faults", "repro.gen.fuzzer",
+)
 
-def _run(args, cache_dir):
-    """``(exit code, stdout, imported module names)`` of one child."""
+
+def _child(argv, cache_dir):
+    """``(exit code, stdout, imported module names)`` of one
+    ``python -X importtime <argv>`` child."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     env["REPRO_CACHE"] = "1"
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "repro"] + list(args),
+        [sys.executable, "-X", "importtime"] + list(argv),
         env=env, capture_output=True, text=True, timeout=300,
     )
     modules = set()
@@ -43,12 +52,19 @@ def _run(args, cache_dir):
     return proc.returncode, proc.stdout, modules
 
 
+def _run(args, cache_dir):
+    return _child(["-m", "repro"] + list(args), cache_dir)
+
+
+def _numpy_modules(modules):
+    return sorted(m for m in modules if m == "numpy" or m.startswith("numpy."))
+
+
 def _engine_modules(modules):
     prefixes = tuple("repro.{}".format(p) for p in ENGINE_PACKAGES)
-    return sorted(
+    return _numpy_modules(modules) + sorted(
         m for m in modules
-        if m == "numpy" or m.startswith("numpy.")
-        or any(m == p or m.startswith(p + ".") for p in prefixes)
+        if any(m == p or m.startswith(p + ".") for p in prefixes)
     )
 
 
@@ -75,3 +91,12 @@ def test_warm_hit_loads_no_engine(warm_cache, kind, system):
     assert json.loads(out)["cached"] is True
     assert "repro.cache.store" in modules
     assert _engine_modules(modules) == []
+
+
+def test_engines_load_no_numpy(tmp_path):
+    code, _, modules = _child(
+        ["-c", "import " + ", ".join(ENGINE_ENTRY_POINTS)], tmp_path
+    )
+    assert code == 0
+    assert set(ENGINE_ENTRY_POINTS) <= modules
+    assert _numpy_modules(modules) == []

@@ -25,9 +25,6 @@ from repro.cli import main
         ["bench", "rm", "--iterations", "0"],
         ["bench", "rm", "--iterations", "-2"],
         ["bench", "rm", "--iterations", "many"],
-        # engine workers (any command that takes --engine)
-        ["check", "rm", "--engine-workers", "0"],
-        ["check", "rm", "--engine-workers", "-4"],
         # serve: every numeric knob
         ["serve", "--port", "-1"],
         ["serve", "--workers", "0"],
