@@ -51,6 +51,7 @@ class PredictiveTimeAutomaton:
                 "condition names must be unique, got {!r}".format(names)
             )
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(self.conditions)}
+        self._pi_flags: Dict[Hashable, Tuple[bool, ...]] = {}
         self.name = name or "time({}, {})".format(base.name, names)
 
     # ------------------------------------------------------------------
@@ -102,13 +103,23 @@ class PredictiveTimeAutomaton:
     # Steps
     # ------------------------------------------------------------------
 
+    def _in_pi(self, action: Hashable) -> Tuple[bool, ...]:
+        """``action ∈ Π(U)`` for each condition, in condition order.
+        ``Π(U)`` is a fixed action set, so the flags are computed once
+        per action and memoised on the instance."""
+        flags = self._pi_flags.get(action)
+        if flags is None:
+            flags = tuple(bool(cond.in_pi(action)) for cond in self.conditions)
+            self._pi_flags[action] = flags
+        return flags
+
     def time_violation(self, state: TimeState, action: Hashable, t) -> Optional[str]:
         """The reason ``(action, t)`` is time-forbidden in ``state``, or
         None when conditions 2, 3(a) and 4(a) all hold."""
         if t < state.now:
             return "time {!r} precedes Ct = {!r}".format(t, state.now)
-        for cond, pred in zip(self.conditions, state.preds):
-            if cond.in_pi(action):
+        for cond, pred, in_pi in zip(self.conditions, state.preds, self._in_pi(action)):
+            if in_pi:
                 if not (pred.ft <= t <= pred.lt):
                     return (
                         "condition {!r} requires t in [{!r}, {!r}], got {!r}".format(
@@ -126,6 +137,7 @@ class PredictiveTimeAutomaton:
         self,
         cond: TimingCondition,
         pred: Prediction,
+        in_pi: bool,
         pre_astate: Hashable,
         action: Hashable,
         post_astate: Hashable,
@@ -135,7 +147,7 @@ class PredictiveTimeAutomaton:
         trigger = cond.triggers(pre_astate, action, post_astate)
         if trigger:
             cond.check_trigger_step(pre_astate, action, post_astate)
-        if cond.in_pi(action):
+        if in_pi:
             if trigger:
                 return Prediction(t + cond.lower, t + cond.upper)
             return DEFAULT_PREDICTION
@@ -150,15 +162,21 @@ class PredictiveTimeAutomaton:
         the action is not enabled (in ``A`` or time-wise)."""
         if self.time_violation(state, action, t) is not None:
             return []
+        return self._posts(state, action, t)
+
+    def _posts(self, state: TimeState, action: Hashable, t) -> List[TimeState]:
+        """The post-states of ``(action, t)``, whose time window the
+        caller has already checked."""
         posts: List[TimeState] = []
         seen = set()
+        flags = self._in_pi(action)
         for post_astate in self.base.transitions(state.astate, action):
             if post_astate in seen:
                 continue
             seen.add(post_astate)
             preds = tuple(
-                self._next_prediction(cond, pred, state.astate, action, post_astate, t)
-                for cond, pred in zip(self.conditions, state.preds)
+                self._next_prediction(cond, pred, in_pi, state.astate, action, post_astate, t)
+                for cond, pred, in_pi in zip(self.conditions, state.preds, flags)
             )
             posts.append(TimeState(post_astate, t, preds))
         return posts
@@ -175,7 +193,7 @@ class PredictiveTimeAutomaton:
                     self.name, action, t, state, reason
                 )
             )
-        posts = self.successors(state, action, t)
+        posts = self._posts(state, action, t)
         if not posts:
             raise TimingViolationError(
                 "{}: action {!r} is not enabled in A-state {!r}".format(
@@ -233,8 +251,8 @@ class PredictiveTimeAutomaton:
         ``Ft(U)`` with ``π ∈ Π(U)``; upper end: every ``Lt(U)``."""
         lo = state.now
         hi = self.deadline(state)
-        for cond, pred in zip(self.conditions, state.preds):
-            if cond.in_pi(action) and pred.ft > lo:
+        for pred, in_pi in zip(state.preds, self._in_pi(action)):
+            if in_pi and pred.ft > lo:
                 lo = pred.ft
         if lo > hi:
             return None

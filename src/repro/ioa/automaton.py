@@ -10,7 +10,7 @@ exploration, simulation and lockstep replay straightforward.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import AutomatonError, NotEnabledError
 from repro.ioa.actions import ActionSignature
@@ -71,12 +71,19 @@ class IOAutomaton(ABC):
 
     def enabled_actions(self, state: Hashable) -> List[Hashable]:
         """All actions enabled in ``state`` (signature order is not
-        significant; the result is sorted by repr for determinism)."""
-        return [
-            a
-            for a in sorted(self.signature.all_actions, key=repr)
-            if self.is_enabled(state, a)
-        ]
+        significant; the result is sorted by repr for determinism).
+
+        The sorted action tuple is built once per instance.  The result
+        itself is not memoised: an exploration asks once per state, so a
+        memo would only keep every explored state alive."""
+        try:
+            order = self._action_order
+        except AttributeError:
+            order = self._action_order = tuple(
+                sorted(self.signature.all_actions, key=repr)
+            )
+        is_enabled = self.is_enabled
+        return [a for a in order if is_enabled(state, a)]
 
     def is_step(self, pre: Hashable, action: Hashable, post: Hashable) -> bool:
         """True if ``(pre, action, post) ∈ steps(A)``."""
@@ -102,14 +109,47 @@ class IOAutomaton(ABC):
             )
         return posts[0]
 
+    def _enabledness(self) -> Tuple[Dict[PartitionClass, int], Dict[Hashable, int]]:
+        """``(bit of each partition class, mask memo by A-state)``, made
+        on first use.  One attribute holds both, so a thread that races
+        the first call at worst recomputes some masks."""
+        try:
+            return self._class_masks
+        except AttributeError:
+            bits = {cls: 1 << i for i, cls in enumerate(self.partition)}
+            memo = self._class_masks = (bits, {})
+            return memo
+
+    def enabled_mask(self, state: Hashable) -> int:
+        """The classes enabled in ``state`` as a bitmask: bit ``i`` is set
+        iff ``self.partition.classes[i]`` has an enabled action.
+        Computed once per A-state and memoised on the instance."""
+        bits, memo = self._enabledness()
+        mask = memo.get(state)
+        if mask is None:
+            mask = 0
+            is_enabled = self.is_enabled
+            for cls, bit in bits.items():
+                for action in cls.actions:
+                    if is_enabled(state, action):
+                        mask |= bit
+                        break
+            memo[state] = mask
+        return mask
+
     def class_enabled(self, state: Hashable, cls: PartitionClass) -> bool:
         """``state ∈ enabled(A, C)``: some action of class ``cls`` is
-        enabled."""
-        return any(self.is_enabled(state, a) for a in cls.actions)
+        enabled.  Reads :meth:`enabled_mask` for a class of the
+        partition; any other class is decided from :meth:`is_enabled`."""
+        bit = self._enabledness()[0].get(cls)
+        if bit is None:
+            return any(self.is_enabled(state, a) for a in cls.actions)
+        return bool(self.enabled_mask(state) & bit)
 
     def enabled_classes(self, state: Hashable) -> List[PartitionClass]:
         """The partition classes with an enabled action in ``state``."""
-        return [c for c in self.partition if self.class_enabled(state, c)]
+        mask = self.enabled_mask(state)
+        return [cls for cls, bit in self._enabledness()[0].items() if mask & bit]
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -195,10 +195,12 @@ def explore_zone_graph(
         raise ZoneError("zone analysis expects a unique start state")
     start_astate = starts[0]
 
-    # Hot-path precomputation: class intervals are fixed for the whole
-    # exploration, and A-states recur across many zone nodes — memoising
-    # per-A-state enabledness (of classes and of actions) avoids
-    # re-deriving it for every (node, action, successor) triple.
+    # Hot-path precomputation.  Class intervals are fixed for the whole
+    # exploration.  Class enabledness comes from the automaton's own
+    # per-A-state memo (``enabled_mask``, bits in partition order), so
+    # clock ``i + 1`` is enabled iff the mask has ``clocked_bits[i]``.
+    # Enabled actions are memoised here, for this search only: zone
+    # nodes revisit A-states, and the automaton does not keep them.
     upper_bounds: List[Optional[Bound]] = []
     lower_bounds: Dict[str, object] = {}
     for cls in classes:
@@ -208,15 +210,10 @@ def explore_zone_graph(
         upper_bounds.append(
             None if isinstance(upper, float) and math.isinf(upper) else le_bound(upper)
         )
-    enabled_memo: Dict[Hashable, Tuple[bool, ...]] = {}
+    class_bit = {cls.name: 1 << i for i, cls in enumerate(classes)}
+    clocked_bits = [class_bit[cls.name] for cls in clocked]
+    enabled_mask = automaton.enabled_mask
     actions_memo: Dict[Hashable, List[Hashable]] = {}
-
-    def enabled_classes(astate) -> Tuple[bool, ...]:
-        cached = enabled_memo.get(astate)
-        if cached is None:
-            cached = tuple(automaton.class_enabled(astate, cls) for cls in clocked)
-            enabled_memo[astate] = cached
-        return cached
 
     def enabled_actions(astate) -> List[Hashable]:
         cached = actions_memo.get(astate)
@@ -225,9 +222,9 @@ def explore_zone_graph(
             actions_memo[astate] = cached
         return cached
 
-    def apply_invariant(zone: DBM, enabled: Tuple[bool, ...]) -> DBM:
+    def apply_invariant(zone: DBM, enabled: int) -> DBM:
         for i, upper in enumerate(upper_bounds):
-            if enabled[i] and upper is not None:
+            if enabled & clocked_bits[i] and upper is not None:
                 zone.constrain(i + 1, 0, upper)
         return zone
 
@@ -293,7 +290,7 @@ def explore_zone_graph(
         astate, counts, zone = frontier.popleft()
         if zone is None:
             continue  # evicted by a larger zone of the same discrete state
-        pre_enabled = enabled_classes(astate)
+        pre_enabled = enabled_mask(astate)
         # Delay under the invariant depends only on the node: compute it
         # once and let each action's guard narrow a copy.
         delayed = apply_invariant(zone.copy().up(), pre_enabled)
@@ -304,6 +301,7 @@ def explore_zone_graph(
                     "action {!r} has no partition class (open system?)".format(action)
                 )
             lower = lower_bounds[cls.name]
+            fired_bit = class_bit[cls.name]
             if lower > 0:
                 # x_0 − x_C ≤ −b_l(C)  ⇔  x_C ≥ b_l(C)
                 fire_zone = delayed.copy().constrain(
@@ -344,17 +342,17 @@ def explore_zone_graph(
                 continue  # record made; branch horizon reached
 
             for post_astate in automaton.transitions(astate, action):
-                post_enabled = enabled_classes(post_astate)
                 # Incremental successor construction: reuse the parent's
                 # canonical matrix and touch only the rows/columns of
                 # the clocks that actually reset (the fired class,
                 # (re-)disabled or re-enabled classes, and triggered
-                # observers).
+                # observers).  A clock survives only if its class is
+                # enabled on both sides and is not the fired one.
+                surviving = pre_enabled & enabled_mask(post_astate) & ~fired_bit
                 resets = [
                     i + 1
-                    for i, other in enumerate(clocked)
-                    if other.name == cls.name
-                    or not (pre_enabled[i] and post_enabled[i])
+                    for i, bit in enumerate(clocked_bits)
+                    if not surviving & bit
                 ]
                 for obs in observers:
                     if action in obs.reset_on:
