@@ -4,36 +4,18 @@ Each ``bench_*.py`` file regenerates one experiment from EXPERIMENTS.md:
 it prints the paper-vs-measured rows (via :func:`emit`, which suspends
 pytest's output capture so the tables appear in ``bench_output.txt``)
 and times the underlying machinery with pytest-benchmark.
-
-:func:`emit` additionally appends each table as one machine-readable
-JSON row to ``benchmarks/bench_rows.jsonl`` (truncated at the start of
-every pytest run); ``repro.obs.bench`` folds those rows into the
-``BENCH_<n>.json`` perf-trajectory reports.
 """
 
-import json
-import os
 import sys
 
 from repro.analysis.report import Table
 
 _CONFIG = None
 
-#: Machine-readable sibling of bench_output.txt, one JSON object per
-#: emitted table/line, consumed by repro.obs.bench.load_suite_rows.
-ROWS_PATH = os.path.join(os.path.dirname(__file__), "bench_rows.jsonl")
-
 
 def pytest_configure(config):
     global _CONFIG
     _CONFIG = config
-    # Start each benchmark run with a fresh rows file so stale tables
-    # from a previous run never leak into a new BENCH report.
-    try:
-        with open(ROWS_PATH, "w"):
-            pass
-    except OSError:
-        pass
 
 
 def _uncaptured_write(text: str) -> None:
@@ -49,21 +31,10 @@ def _uncaptured_write(text: str) -> None:
         sys.stdout.flush()
 
 
-def _append_row(payload: dict) -> None:
-    try:
-        with open(ROWS_PATH, "a") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
-    except OSError:
-        pass
-
-
 def emit(table: Table) -> None:
-    """Print a report table around pytest's output capture and append
-    its machine-readable form to ``bench_rows.jsonl``."""
+    """Print a report table around pytest's output capture."""
     _uncaptured_write("\n" + table.render() + "\n")
-    _append_row({"kind": "table", **table.to_dict()})
 
 
 def emit_line(text: str) -> None:
     _uncaptured_write(text + "\n")
-    _append_row({"kind": "line", "text": text})

@@ -15,6 +15,13 @@ B. **torn frames are detected and survived** — a worker that severs its
    and no job is ever double-recorded.
 C. **no fleet, no loss** — with every worker address dead the campaign
    degrades to the local pool and completes with the same verdicts.
+D. **distribution pays** — a check+perturb campaign over every shipped
+   system, verdict cache off, runs at least 1.5x faster on a standing
+   fleet of two inline workers than inline on one host (best of three
+   alternating runs each), with identical verdicts and no fallback to
+   the local pool.  Worker start-up and a warm-up campaign stay outside
+   the timed window: a campaign joins a standing fleet, it does not
+   boot one.  The ratio needs two cores.
 
 Run from the repo root (CI's dist-smoke job does):
 
@@ -228,6 +235,74 @@ def scenario_degraded(root, base):
           "degraded verdicts identical to the single-host run")
 
 
+def scenario_dist_scaling(root):
+    """D: two inline workers beat one host by >= 1.5x, same verdicts."""
+    print("--- scenario D: two-worker speedup over a single host")
+    sys.path.insert(0, SRC)
+    from fractions import Fraction
+
+    from repro.dist import DistConfig, DistCoordinator
+    from repro.runner import Supervisor, default_jobs
+
+    def job_mix(systems=None, seeds=4, steps=80):
+        jobs = default_jobs(
+            systems=systems, kinds=["check", "perturb"], seeds=seeds,
+            steps=steps, seed=0, epsilon=Fraction(1, 32),
+        )
+        # rm's jobs first: a heavy job assigned last would serialise
+        # the whole tail of the campaign.
+        jobs.sort(key=lambda job: (job.system != "rm", job.job_id))
+        return jobs
+
+    def projection(report):
+        return sorted(
+            (o.job_id, o.status, o.ok, o.detail) for o in report.outcomes
+        )
+
+    workdir = os.path.join(root, "d")
+    os.makedirs(workdir)
+    fleet = [Worker(workdir, "--inline"), Worker(workdir, "--inline")]
+    try:
+        config = DistConfig(
+            hosts=[("127.0.0.1", worker.port) for worker in fleet],
+            lease_ms=10_000, heartbeat_ms=1_000, timeout=120.0,
+        )
+        # Untimed warm-up: tiny jobs pull the engines' lazy imports into
+        # each worker and into this process, the way a standing fleet
+        # and a long-lived host are already warm.
+        warm_up = job_mix(systems=["peterson", "tournament"], seeds=1, steps=10)
+        Supervisor(warm_up, workers=0, cache=False).run()
+        DistCoordinator(warm_up, config, job_cache=False).run()
+        # A campaign is ~1 s of work, so one run is at the mercy of a
+        # noisy host: alternate the legs and compare the best of three.
+        serial_walls, dist_walls, reports = [], [], []
+        for _round in range(3):
+            start = time.perf_counter()
+            serial = Supervisor(job_mix(), workers=0, cache=False).run()
+            serial_walls.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            dist = DistCoordinator(job_mix(), config, job_cache=False).run()
+            dist_walls.append(time.perf_counter() - start)
+            reports.append((serial, dist))
+    finally:
+        for worker in fleet:
+            worker.stop()
+    speedup = min(serial_walls) / min(dist_walls)
+    print("serial={:.3f}s dist={:.3f}s speedup={:.2f}x jobs={} cpus={}".format(
+        min(serial_walls), min(dist_walls), speedup, len(serial.outcomes),
+        os.cpu_count()))
+    truth = projection(reports[0][0])
+    check(all(projection(s) == projection(d) == truth for s, d in reports),
+          "verdicts identical to the single-host run")
+    check(all(s.ok and d.ok and not d.interrupted for s, d in reports),
+          "every campaign completed ok")
+    check(not any(d.telemetry.get("counters", {}).get("dist.degraded", 0)
+                  for _s, d in reports),
+          "no fallback to the local pool")
+    check(speedup >= 1.5, "two workers at least 1.5x faster "
+          "(got {:.2f}x)".format(speedup))
+
+
 def main():
     root = tempfile.mkdtemp(prefix="repro-dist-chaos-", dir=os.getcwd())
     try:
@@ -236,6 +311,7 @@ def main():
         scenario_kill_nine(root, base)
         scenario_severed_frame(root, base)
         scenario_degraded(root, base)
+        scenario_dist_scaling(root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     if FAILURES:

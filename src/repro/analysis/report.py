@@ -48,15 +48,6 @@ class Table:
             )
         self.rows.append([format_value(c) if not isinstance(c, str) else c for c in cells])
 
-    def to_dict(self) -> dict:
-        """Machine-readable form (consumed by ``repro.obs.bench`` when
-        folding benchmark-suite tables into a report)."""
-        return {
-            "title": self.title,
-            "columns": list(self.headers),
-            "rows": [list(row) for row in self.rows],
-        }
-
     def render(self) -> str:
         widths = [len(h) for h in self.headers]
         for row in self.rows:

@@ -1,6 +1,6 @@
 """``repro.cache`` — the content-addressed on-disk verdict cache.
 
-Warm re-runs of lint, check, perturb and bench skip settled work: a
+Warm re-runs of lint, analyze, check and perturb skip settled work: a
 verdict is stored under a key derived from the *dependency closure* of
 the modules that produced it
 (:func:`~repro.cache.fingerprint.closure_fingerprint`), the engine

@@ -21,10 +21,10 @@ Three properties keep this sound:
   system modules are then admitted only for the system under test
   (plus its genuine intra-``systems`` dependencies, which are followed
   transitively — e.g. ``interrupt`` depends on ``resource_manager``).
-* **Whole-package fallback.**  An unknown kind or system (a bench
-  profile like ``serve-throughput``, a fuzz shard) falls back to the
-  closure over *all* modules — exactly the old whole-package key, so
-  unknown work is never under-keyed.
+* **Whole-package fallback.**  An unknown kind or system (a fuzz
+  shard's synthetic ``gen`` system) falls back to the closure over
+  *all* modules — exactly the old whole-package key, so unknown work
+  is never under-keyed.
 * **ENGINE_VERSION escape hatch.**  Orchestration-only modules
   (``repro.cli``, ``repro.runner``, ``repro.serve``, ``repro.dist``)
   are deliberately outside the closures of the kinds they drive; a
@@ -77,7 +77,6 @@ KIND_ROOTS: Dict[str, Tuple[str, ...]] = {
     "analyze-mapping": ("analyze",),
     "check": ("analyze", "core", "faults", "ioa", "par.surface"),
     "perturb": ("faults",),
-    "bench": ("obs.bench",),
     "fuzz": ("gen",),
 }
 

@@ -4,7 +4,7 @@
 engines, yet the argument parser needs every subcommand's choices and
 defaults.  This stdlib-only module is their single declaration; the
 modules that own each name (the builder registries, ``faults.perturb``,
-``runner.jobs``, ``lint.driver``, ``obs.bench``) import it from here,
+``runner.jobs``, ``lint.driver``) import it from here,
 and ``tests/test_catalog.py`` pins every registry's keys to its entry
 below, in order.
 """
@@ -12,8 +12,6 @@ below, in order.
 from __future__ import annotations
 
 __all__ = [
-    "BENCH_ITERATIONS",
-    "BENCH_PROFILES",
     "DIRECTIONS",
     "GEN_PREFIX",
     "JOB_KINDS",
@@ -50,16 +48,13 @@ SURFACE_SYSTEMS = (
     "tournament",
 )
 
-#: The default ``repro bench`` battery (``repro.obs.bench.PROFILES``).
-BENCH_PROFILES = SURFACE_SYSTEMS + ("gen-scaling",)
-
 #: Perturbation drift modes and directions (``repro.faults.perturb``).
 MODES = ("scale", "shift")
 DIRECTIONS = ("widen", "tighten")
 
 #: Campaign job kinds (``repro.runner.jobs``) in scheduling order: cheap
 #: static checks first, fuzz campaigns (the most expensive unit) last.
-JOB_KINDS = ("lint", "analyze", "check", "perturb", "bench", "fuzz")
+JOB_KINDS = ("lint", "analyze", "check", "perturb", "fuzz")
 
 #: The namespace prefix that marks a generated-system name
 #: (``repro.gen.names``).
@@ -67,6 +62,3 @@ GEN_PREFIX = "gen:"
 
 #: Default cap on bounded exploration per linted automaton.
 LINT_MAX_STATES = 2000
-
-#: Default seeded simulation iterations per bench profile.
-BENCH_ITERATIONS = 3

@@ -17,7 +17,6 @@ writing code:
                exploration, exhaustive Definition 3.2 mapping checks and
                the proof battery, verdict-cached;
 - ``perturb``  fault injection: how much drift do the proofs survive?;
-- ``bench``    perf-trajectory benchmark runner (``BENCH_<n>.json``);
 - ``trace``    replayable JSONL telemetry trace of a checked run;
 - ``run``      supervised verification campaign: crash-isolated
                workers, watchdogs, retry/backoff, checkpoint/resume.
@@ -648,72 +647,6 @@ def cmd_perturb(args) -> int:
     # (fischer-tight ships deliberately broken — that finding is the
     # point, not a failure).
     return 1 if failed else 0
-
-
-def cmd_bench(args) -> int:
-    import json as _json
-    import os
-
-    from repro.obs import bench as _bench
-
-    systems = args.system or None
-    suite_rows = os.path.join(args.root, "benchmarks", "bench_rows.jsonl")
-    cache = _cli_cache(args)
-    report = _bench.run_bench(
-        systems=systems,
-        iterations=args.iterations,
-        suite_rows_path=suite_rows,
-        cache=cache,
-    )
-    previous_path = args.compare or _bench.latest_bench_path(args.root)
-    out_path = args.out or _bench.next_bench_path(args.root)
-    comparison = None
-    if previous_path is not None and os.path.exists(previous_path):
-        previous = _bench.load_report(previous_path)
-        if systems is not None:
-            # An explicit subset was benched: profiles deliberately not
-            # run this time must not read as "missing" regressions —
-            # compare only against the requested names.
-            requested = set(systems)
-            previous.records = [
-                r for r in previous.records if r.system in requested
-            ]
-        comparison = _bench.compare_reports(previous, report)
-    _bench.write_report(report, out_path)
-    if args.json:
-        payload = {
-            "path": out_path,
-            "report": report.to_dict(),
-            "compared_to": previous_path,
-            "comparison": None if comparison is None else comparison.to_dict(),
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        from repro.analysis.report import Table
-
-        table = Table("bench — perf trajectory", [
-            "system", "wall (s)", "states", "zones", "mapping evals", "ok",
-        ])
-        for record in report.records:
-            table.add_row(
-                record.system,
-                "{:.3f}".format(record.wall_time),
-                record.counters.get("explore.states", 0),
-                record.counters.get("zones.nodes", 0),
-                record.counters.get("mapping.evals", 0),
-                record.meta.get("ok", "?"),
-            )
-        table.print()
-        print("\nwrote {}".format(out_path))
-        if comparison is not None:
-            print("compared against {}:".format(previous_path))
-            print(comparison.render())
-        else:
-            print("no previous report to compare against")
-    _print_cache_stats(cache)
-    if args.fail_on_regress and comparison is not None and not comparison.ok:
-        return 1
-    return 0
 
 
 def cmd_run(args) -> int:
@@ -1352,40 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_argument(perturb)
     perturb.set_defaults(func=cmd_perturb)
-
-    bench = sub.add_parser(
-        "bench", help="perf-trajectory benchmark runner (BENCH_<n>.json)"
-    )
-    bench.add_argument(
-        "system", nargs="*", metavar="SYSTEM",
-        help="systems to profile (default: all of {})".format(
-            ", ".join(catalog.BENCH_PROFILES)
-        ),
-    )
-    bench.add_argument(
-        "--iterations", type=_positive_int, default=catalog.BENCH_ITERATIONS,
-        help="seeded simulation iterations per profile",
-    )
-    bench.add_argument(
-        "--out", default=None,
-        help="output path (default: next free BENCH_<n>.json under --root)",
-    )
-    bench.add_argument(
-        "--root", default=".", help="directory holding BENCH_<n>.json files"
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="PREV",
-        help="compare against this report (default: latest BENCH_<n>.json)",
-    )
-    bench.add_argument(
-        "--fail-on-regress", action="store_true",
-        help="exit 1 when the comparison finds a regression",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="machine-readable report + comparison"
-    )
-    _add_cache_argument(bench)
-    bench.set_defaults(func=cmd_bench)
 
     run = sub.add_parser(
         "run",

@@ -43,7 +43,7 @@ from repro.dist.protocol import ConnectionClosed, FrameConnection, ProtocolError
 from repro.runner.attempts import run_inline, run_isolated
 from repro.runner.jobs import Job
 
-__all__ = ["DistWorker", "EXIT_DIST_TRANSPORT", "run_worker_process"]
+__all__ = ["DistWorker", "EXIT_DIST_TRANSPORT"]
 
 #: Exit code for an unrecoverable transport failure (bind refused).
 EXIT_DIST_TRANSPORT = 5
@@ -58,8 +58,7 @@ class DistWorker:
     and throughput benchmarks.  ``chaos`` takes a
     :class:`~repro.dist.netfaults.FaultPlan` applied to this worker's
     outbound frames.  ``on_ready(port)`` fires once the socket is
-    bound (how in-process tests and the bench harness learn an
-    ephemeral port).
+    bound (how in-process tests learn an ephemeral port).
     """
 
     def __init__(
@@ -297,19 +296,3 @@ class DistWorker:
         if not self.quiet:
             print(line, flush=True)
 
-
-def run_worker_process(
-    ready_queue, host: str = "127.0.0.1", isolation: bool = False, once: bool = False
-) -> None:
-    """Entry point for spawning a dist worker as a child *process*
-    (the bench harness and tests): binds an ephemeral port and reports
-    it back over ``ready_queue``."""
-    worker = DistWorker(
-        host=host,
-        port=0,
-        isolation=isolation,
-        once=once,
-        on_ready=ready_queue.put,
-        quiet=True,
-    )
-    worker.serve_forever()

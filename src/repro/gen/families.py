@@ -29,6 +29,7 @@ tournament(w)   ~26 (w=2), 3,764 (w=4)   full sweep at w=2; bounded above
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -1015,18 +1016,17 @@ _BUILDERS: Dict[str, Callable[[GenName], GeneratedSystem]] = {
     "tournament": _tournament_bundle,
 }
 
-_BUNDLES: Dict[str, GeneratedSystem] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def build_bundle(name: str) -> GeneratedSystem:
-    """The :class:`GeneratedSystem` for a ``gen:`` name (memoised per
-    process; bundles are immutable once built)."""
-    if name not in _BUNDLES:
-        parsed = parse(name)
-        builder = _BUILDERS.get(parsed.family)
-        if builder is None:
-            raise ReproError(
-                "no bundle builder for family {!r}".format(parsed.family)
-            )
-        _BUNDLES[name] = builder(parsed)
-    return _BUNDLES[name]
+    """The :class:`GeneratedSystem` for a ``gen:`` name.
+
+    Bundles are immutable once built, so the most recent 64 are memoised:
+    a long-lived process that checks many names keeps a bounded set of
+    automata (and their per-state enabledness memos) alive."""
+    parsed = parse(name)
+    builder = _BUILDERS.get(parsed.family)
+    if builder is None:
+        raise ReproError(
+            "no bundle builder for family {!r}".format(parsed.family)
+        )
+    return builder(parsed)

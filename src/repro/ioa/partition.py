@@ -27,6 +27,16 @@ class PartitionClass:
         object.__setattr__(self, "actions", frozenset(self.actions))
         if not self.actions:
             raise PartitionError("partition class {!r} is empty".format(self.name))
+        # Classes key every enabledness lookup: hash the fields once.
+        object.__setattr__(self, "_hash", hash((self.name, self.actions)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process; rebuild rather than
+        # carry a stale ``_hash`` across a pickle boundary.
+        return (PartitionClass, (self.name, self.actions))
 
     def __contains__(self, action: Hashable) -> bool:
         return action in self.actions

@@ -1,20 +1,14 @@
-"""repro.obs — observability: telemetry, tracing, and the perf
-trajectory.
+"""repro.obs — observability: telemetry and tracing.
 
 - :mod:`repro.obs.instrument` — the zero-dependency telemetry core
   (:class:`Recorder`, counters/gauges/timers/trace events) every engine
   hooks into;
-- :mod:`repro.obs.bench` — the benchmark runner behind
-  ``python -m repro bench``: micro-profiles each shipped system,
-  aggregates wall time + telemetry into a versioned ``BENCH_<n>.json``
-  and compares runs with per-metric regression thresholds;
 - :mod:`repro.obs.tracing` — builds the replayable JSONL event traces
   behind ``python -m repro trace``.
 
 Only the instrument core is imported eagerly (it has no dependencies
-and is imported *by* the engines); import :mod:`repro.obs.bench` and
-:mod:`repro.obs.tracing` explicitly — they pull in the systems and
-engines.
+and is imported *by* the engines); import :mod:`repro.obs.tracing`
+explicitly — it pulls in the systems and engines.
 """
 
 from repro.obs.instrument import (

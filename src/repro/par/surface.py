@@ -2,10 +2,10 @@
 
 One registry, several consumers: ``python -m repro check``
 (reachability sweep + mapping obligations per system), the static
-analyzer (:mod:`repro.analyze`) and the bench profiles.  Parameters
-mirror the canonical builds used by :mod:`repro.faults.targets` and
-:mod:`repro.obs.bench`, so a cache key derived from this surface
-describes the same work those paths do.
+analyzer (:mod:`repro.analyze`) and the ``bench/`` deep-verify
+workload.  Parameters mirror the canonical builds used by
+:mod:`repro.faults.targets`, so a cache key derived from this surface
+describes the same work that path does.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """repro.runner — supervised, crash-isolated verification campaigns.
 
 The substrate for running the repo's whole verification surface —
-mapping checks, perturbation batteries, lints, benchmarks — as a fleet
+mapping checks, perturbation batteries, lints, fuzz shards — as a fleet
 of isolated jobs that survives worker crashes, hangs, and garbled
 results (``python -m repro run``):
 

@@ -3,14 +3,14 @@
 A :class:`Job` is the unit a supervised campaign schedules: one check
 kind applied to one system, with plain-JSON parameters so it can cross
 a process boundary (``multiprocessing`` spawn) and a checkpoint ledger
-unchanged.  Four kinds decompose the repo's whole verification surface:
+unchanged.  Five kinds decompose the repo's whole verification surface:
 
 - ``check``   — the system's full nominal proof battery (mapping/chain
   checks on adversarial runs, Lemma 2.1 acceptance, exact zone bounds)
   via :func:`repro.faults.build_perturb_target` at ε = 0;
 - ``perturb`` — the same battery under one fixed drift ε;
 - ``lint``    — the static diagnostics pass of :mod:`repro.lint`;
-- ``bench``   — one :func:`repro.obs.bench.run_profile` iteration;
+- ``analyze`` — the symbolic obligation proofs of :mod:`repro.analyze`;
 - ``fuzz``    — one shard of a differential proof-method fuzz campaign
   (:func:`repro.gen.fuzzer.run_campaign`) under the synthetic system
   name ``gen``; shards with the same seed partition one campaign's
@@ -129,7 +129,6 @@ def default_jobs(
     steps: int = 40,
     seed: int = 0,
     epsilon: Fraction = Fraction(1, 32),
-    iterations: int = 1,
     max_states: int = 200_000,
     max_steps: int = 2_000_000,
     wall_time: float = 60.0,
@@ -147,7 +146,6 @@ def default_jobs(
     from repro.faults.targets import perturb_names
     from repro.gen import is_gen_name, parse as parse_gen_name
     from repro.lint.targets import system_names as lint_names
-    from repro.obs.bench import bench_names
 
     chosen = _campaign_systems(systems)
     kinds = [k for k in JOB_KINDS if k in set(kinds)]
@@ -158,7 +156,6 @@ def default_jobs(
         "analyze": list(analyze_names()),
         "check": list(perturb_names()),
         "perturb": list(perturb_names()),
-        "bench": list(bench_names()),
         "fuzz": [FUZZ_SYSTEM],
     }
     known = set().union(*registry.values())
@@ -196,8 +193,6 @@ def default_jobs(
                 params: Dict[str, Any] = dict(budget)
                 params.update(seeds=seeds, steps=steps, seed=seed)
                 params["epsilon"] = str(epsilon if kind == "perturb" else Fraction(0))
-            elif kind == "bench":
-                params = {"iterations": iterations}
             else:  # lint/analyze: purely static, no budget to thread
                 params = {"strict": False}
             jobs.append(
@@ -302,16 +297,6 @@ def _run_battery(job: Job) -> Tuple[bool, bool, bool, str]:
     return (outcome.ok, outcome.conclusive, outcome.exhausted_budget, outcome.detail)
 
 
-def _run_bench(job: Job) -> Tuple[bool, bool, bool, str]:
-    from repro.obs.bench import run_profile
-
-    record = run_profile(
-        job.system, iterations=int(job.params.get("iterations", 1))
-    )
-    detail = "wall={:.3f}s iterations={}".format(record.wall_time, record.iterations)
-    return (bool(record.meta.get("ok", True)), True, False, detail)
-
-
 def _run_fuzz(job: Job) -> Tuple[bool, bool, bool, str]:
     from repro.gen.fuzzer import run_campaign
 
@@ -331,7 +316,6 @@ _EXECUTORS = {
     "analyze": _run_analyze,
     "check": _run_battery,
     "perturb": _run_battery,
-    "bench": _run_bench,
     "fuzz": _run_fuzz,
 }
 
@@ -344,13 +328,13 @@ _UNCACHED_PARAMS = frozenset({"timeout", "cache", "artifacts"})
 
 def job_cache_parts(job: Job) -> Optional[Dict[str, Any]]:
     """The canonical verdict-cache key parts for ``job``, or ``None``
-    when the job is uncacheable by nature: bench jobs (their product
-    *is* a wall time) and chaos-injected attempts (the self-test must
-    actually run).  The parts deliberately exclude the job id and the
-    :data:`_UNCACHED_PARAMS`, so any cache holding an entry under these
-    parts may serve it to *any* request for the same work — this is the
-    key contract :mod:`repro.serve` relies on for warm requests."""
-    if job.kind == "bench" or job.chaos is not None:
+    when the job is uncacheable by nature: chaos-injected attempts (the
+    self-test must actually run).  The parts deliberately exclude the
+    job id and the :data:`_UNCACHED_PARAMS`, so any cache holding an
+    entry under these parts may serve it to *any* request for the same
+    work — this is the key contract :mod:`repro.serve` relies on for
+    warm requests."""
+    if job.chaos is not None:
         return None
     parts = {
         key: value

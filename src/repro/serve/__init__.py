@@ -1,7 +1,7 @@
 """Verification-as-a-service: the fault-tolerant serving layer.
 
 ``repro.serve`` wraps the toolbox's verification engines (check, lint,
-perturb, analyze, bench) in a long-running daemon with the robustness
+perturb, analyze, fuzz) in a long-running daemon with the robustness
 properties the paper's algorithms assume of their platforms:
 
 - **admission control** — a bounded queue that sheds overload with

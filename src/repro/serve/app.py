@@ -80,7 +80,6 @@ _ALLOWED_PARAMS = {
     },
     "lint": {"strict", "max_states"},
     "analyze": {"strict"},
-    "bench": {"iterations"},
     "fuzz": {"count", "seed", "start"},
 }
 
@@ -126,7 +125,6 @@ def _system_registry() -> Dict[str, List[str]]:
     from repro.analyze import analyze_names
     from repro.faults.targets import perturb_names
     from repro.lint.targets import system_names as lint_names
-    from repro.obs.bench import bench_names
     from repro.runner.jobs import FUZZ_SYSTEM
 
     return {
@@ -134,14 +132,12 @@ def _system_registry() -> Dict[str, List[str]]:
         "analyze": list(analyze_names()),
         "check": list(perturb_names()),
         "perturb": list(perturb_names()),
-        "bench": list(bench_names()),
         "fuzz": [FUZZ_SYSTEM],
     }
 
 
 #: Kinds that also admit ``gen:``-namespace systems (parametric
-#: generated instances).  Bench profiles and fuzz shards have their own
-#: fixed registries.
+#: generated instances).  Fuzz shards have their own fixed registry.
 _GEN_KINDS = frozenset({"lint", "analyze", "check", "perturb"})
 
 
@@ -315,8 +311,6 @@ class VerificationService:
             params.update(raw)
             params.setdefault("epsilon", "0")
             params["epsilon"] = str(params["epsilon"])
-        elif kind == "bench":
-            params = {"iterations": int(raw.get("iterations", 1))}
         elif kind == "fuzz":
             count = raw.get("count", 100)
             if not isinstance(count, int) or isinstance(count, bool) or count < 1:

@@ -25,8 +25,8 @@ Why flat: canonicalisation, constraint propagation, and successor
 construction become index arithmetic over machine ints — no per-cell
 tuple/Fraction allocation on the hot path, ``memcpy``-speed copies,
 :func:`array.array.tobytes` zone keys cheap enough to intern — which is
-what lifts ``zones.query`` by an order of magnitude on the bench
-trajectory (BENCH_5 vs BENCH_4).
+what lifts ``zones.query`` by an order of magnitude over the
+tuple-of-Fraction engine it replaced (docs/performance.md).
 
 Only the operations needed for forward reachability of timed automata
 are provided: canonicalisation (Floyd–Warshall, for manual cell edits;

@@ -69,7 +69,7 @@ class TestClosureContents:
         assert "repro.systems.resource_manager" in mods
 
     def test_zone_engine_always_in_engine_closures(self):
-        for kind in ("check", "lint", "analyze", "perturb", "bench"):
+        for kind in ("check", "lint", "analyze", "perturb"):
             mods = dependency_closure(kind, "rm")
             assert "repro.zones.dbm" in mods, kind
 

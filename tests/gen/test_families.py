@@ -21,6 +21,37 @@ class TestBundles:
     def test_build_bundle_memoizes(self):
         assert build_bundle("gen:relay_ring-4") is build_bundle("gen:relay_ring-4")
 
+    def test_build_bundle_memo_is_bounded(self):
+        # Zero-padded parameters spell distinct, valid names for one
+        # cheap instance, so 70 builds overflow the 64-entry memo.
+        names = ["gen:relay_line-" + "0" * pad + "1" for pad in range(70)]
+        for name in names:
+            assert build_bundle(name).name == "gen:relay_line-1"
+        assert build_bundle.cache_info().currsize <= 64
+        assert build_bundle(names[-1]) is build_bundle(names[-1])
+
+    @pytest.mark.parametrize(
+        "name, states",
+        [
+            ("gen:fischer-2", 28),
+            ("gen:fischer-3", 152),
+            ("gen:fischer-4", 752),
+            ("gen:relay_line-2", 4),
+            ("gen:relay_line-4", 6),
+            ("gen:relay_line-6", 8),
+        ],
+    )
+    def test_untimed_state_counts(self, name, states):
+        # The reachable-state count each family's construction predicts,
+        # explored to completion: a generator change that blows up (or
+        # collapses) a family's state space fails here.
+        from repro.ioa.explorer import explore
+
+        bundle = build_bundle(name)
+        result = explore(bundle.timed().automaton, max_states=bundle.max_states)
+        assert not result.truncated
+        assert len(result.reachable) == states
+
     @pytest.mark.parametrize("name", CHEAP)
     def test_describe_dict_is_json_plain(self, name):
         described = build_bundle(name).describe_dict()

@@ -1,5 +1,7 @@
 """Tests for partitions of locally controlled actions."""
 
+import pickle
+
 import pytest
 
 from repro.errors import PartitionError
@@ -19,6 +21,15 @@ class TestPartitionClass:
     def test_actions_coerced(self):
         cls = PartitionClass("C", ["a"])
         assert isinstance(cls.actions, frozenset)
+
+    def test_equal_classes_hash_equal(self):
+        cls = PartitionClass("C", ["a", "b"])
+        twin = PartitionClass("C", {"b", "a"})
+        assert cls == twin and hash(cls) == hash(twin)
+        assert cls != PartitionClass("D", ["a", "b"])
+        assert {cls: 1}[twin] == 1
+        revived = pickle.loads(pickle.dumps(cls))
+        assert revived == cls and hash(revived) == hash(cls)
 
 
 class TestPartition:

@@ -8,12 +8,11 @@ from repro.serialize import events_from_jsonl, events_to_jsonl
 
 
 class TestTraceSystem:
-    def test_names_match_bench_profiles(self):
-        from repro.obs.bench import bench_names
+    def test_names_match_the_surface(self):
+        from repro.catalog import SURFACE_SYSTEMS
 
-        # gen-scaling is a battery-wide scaling profile, not a
-        # traceable system; every per-system profile has a tracer.
-        assert set(trace_names()) == set(bench_names()) - {"gen-scaling"}
+        # Every system on the verification surface has a tracer.
+        assert set(trace_names()) == set(SURFACE_SYSTEMS)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ReproError):

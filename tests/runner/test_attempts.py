@@ -36,7 +36,7 @@ from repro.serve.queue import AdmissionQueue
 from repro.serve.resilience import BreakerBoard
 from repro.serve.workers import ServeJob, WorkerPool
 
-JOB_ID = "bench:scripted"
+JOB_ID = "lint:scripted"
 
 #: Coordinator-only ledger fields: who ran the attempt, under which lease.
 IDENTITY_KEYS = {"worker", "worker_host", "worker_pid", "address", "epoch"}
@@ -72,11 +72,15 @@ def scripted(script):
     return execute_job
 
 
-def bench_job(expect_failure=False):
-    # ``bench`` jobs are never cached, so no cache layer can answer
-    # in place of the scripted execution.
+def scripted_job(expect_failure=False):
+    # ``cache: False`` opts the job out of the verdict cache, so no cache
+    # layer can answer in place of the scripted execution.
     return Job(
-        job_id=JOB_ID, kind="bench", system="rm", params={}, expect_failure=expect_failure
+        job_id=JOB_ID,
+        kind="lint",
+        system="rm",
+        params={"cache": False},
+        expect_failure=expect_failure,
     )
 
 
@@ -89,7 +93,7 @@ class TestTransitionTable:
         timed_out = classification == "timeout"
         assert classify_attempt(JOB_ID, payload, timed_out)[0] == classification
         state = AttemptState(
-            job=bench_job(expect_failure), attempt=3, retries=1, budget_scale=4,
+            job=scripted_job(expect_failure), attempt=3, retries=1, budget_scale=4,
             classifications=["crash", "budget", "timeout"],
         )
         policy = RetryPolicy(base=0.1, cap=2.0, jitter=0.0)
@@ -126,7 +130,7 @@ class TestTransitionTable:
         )
 
     def test_backoff_exponent_is_the_retry_count(self):
-        state = AttemptState(job=bench_job(), attempt=5, retries=0)
+        state = AttemptState(job=scripted_job(), attempt=5, retries=0)
         policy = RetryPolicy(base=0.1, cap=10.0, jitter=0.0)
         decision = settle(state, "crash", "", None, policy, 2)
         assert decision.backoff == pytest.approx(0.1)  # delay(0), not delay(5)
@@ -184,7 +188,7 @@ CLASSES = ["ok", "verdict", "budget", "error", "malformed"]
     expect_failure=st.booleans(),
 )
 def test_transports_agree(dist_host, script, max_retries, expect_failure):
-    job = bench_job(expect_failure)
+    job = scripted_job(expect_failure)
     with tempfile.TemporaryDirectory() as tmp:
         local_path = os.path.join(tmp, "local.jsonl")
         dist_path = os.path.join(tmp, "dist.jsonl")
@@ -253,7 +257,7 @@ def test_reassignments_do_not_stretch_the_payload_backoff(tmp_path):
         ):
             with Ledger(path) as ledger:
                 report = DistCoordinator(
-                    [bench_job()],
+                    [scripted_job()],
                     config_for(("127.0.0.1", ports[0]), reconnect_attempts=5),
                     retry=policy,
                     ledger=ledger,

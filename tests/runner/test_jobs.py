@@ -12,7 +12,6 @@ class TestCatalog:
         from repro.analyze import analyze_names
         from repro.faults.targets import perturb_names
         from repro.lint.targets import system_names as lint_names
-        from repro.obs.bench import bench_names
 
         jobs = default_jobs()
         ids = {job.job_id for job in jobs}
@@ -23,15 +22,13 @@ class TestCatalog:
         for name in perturb_names():
             assert "check:" + name in ids
             assert "perturb:" + name in ids
-        for name in bench_names():
-            assert "bench:" + name in ids
         assert len(ids) == len(jobs)  # job ids are unique
 
     def test_system_filter_intersects_each_registry(self):
         jobs = default_jobs(systems=["chain"])
         assert {job.job_id for job in jobs} == {
             "lint:chain", "analyze:chain", "check:chain",
-            "perturb:chain", "bench:chain",
+            "perturb:chain",
         }
 
     def test_all_keyword_means_everything(self):
@@ -50,7 +47,6 @@ class TestCatalog:
         assert jobs["analyze:fischer-tight"].expect_failure
         assert jobs["check:fischer-tight"].expect_failure
         assert jobs["perturb:fischer-tight"].expect_failure
-        assert not jobs["bench:fischer-tight"].expect_failure
 
     def test_round_trips_through_plain_dicts(self):
         for job in default_jobs(systems=["rm"]):

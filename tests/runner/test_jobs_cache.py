@@ -23,10 +23,6 @@ def _lint_job(job_id="lint:chain"):
 
 
 class TestJobCachePolicy:
-    def test_bench_jobs_never_cache(self, warm_cache_env):
-        job = Job(job_id="bench:chain", kind="bench", system="chain", params={})
-        assert _job_cache(job) == (None, None)
-
     def test_chaos_jobs_never_cache(self, warm_cache_env):
         job = _lint_job().with_chaos("crash")
         assert _job_cache(job) == (None, None)

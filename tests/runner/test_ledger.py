@@ -81,7 +81,7 @@ class TestLedgerRoundTrip:
 
     def test_write_then_load(self, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
-        jobs = default_jobs(systems=["chain"], kinds=["lint", "bench"])
+        jobs = default_jobs(systems=["chain"], kinds=["lint", "analyze"])
         with Ledger(path) as ledger:
             ledger.begin("cafe", jobs, {"workers": 2})
             ledger.attempt("lint:chain", 0, "crash", "boom", backoff=0.1)
@@ -95,7 +95,7 @@ class TestLedgerRoundTrip:
         assert state.attempts == {"lint:chain": 2}
         assert set(state.outcomes) == {"lint:chain"}
         assert state.ended
-        assert [job.job_id for job in state.pending] == ["bench:chain"]
+        assert [job.job_id for job in state.pending] == ["analyze:chain"]
         assert not state.complete
 
     def test_missing_file_raises(self, tmp_path):
@@ -135,7 +135,7 @@ class TestResume:
 
     def test_resume_reruns_only_pending_jobs(self, tmp_path):
         path = str(tmp_path / "resume.jsonl")
-        jobs = default_jobs(systems=["chain", "rm"], kinds=["lint", "bench"])
+        jobs = default_jobs(systems=["chain", "rm"], kinds=["lint", "analyze"])
         assert len(jobs) == 4
 
         with Ledger(path) as ledger:

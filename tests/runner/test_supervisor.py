@@ -74,9 +74,8 @@ class TestChaosRecovery:
     def report(self, tmp_path_factory):
         jobs = [
             _job("lint:chain", "lint", "chain", chaos="crash"),
-            _job("bench:chain", "bench", "chain", chaos="hang",
-                 iterations=1),
-            _job("bench:rm", "bench", "rm", chaos="malformed", iterations=1),
+            _job("lint:relay", "lint", "relay", chaos="hang"),
+            _job("lint:rm", "lint", "rm", chaos="malformed"),
             _job("check:fischer-tight", "check", "fischer-tight",
                  seeds=1, steps=10, epsilon="0"),
             _job("check:expected", "check", "fischer-tight",
@@ -103,12 +102,12 @@ class TestChaosRecovery:
         assert outcome.ok and outcome.retries == 1
 
     def test_hang_trips_watchdog_then_recovers(self, report):
-        outcome = self._outcome(report, "bench:chain")
+        outcome = self._outcome(report, "lint:relay")
         assert outcome.classifications == ["timeout", "ok"]
         assert outcome.ok and outcome.retries == 1
 
     def test_malformed_result_is_retried(self, report):
-        outcome = self._outcome(report, "bench:rm")
+        outcome = self._outcome(report, "lint:rm")
         assert outcome.classifications == ["malformed", "ok"]
         assert outcome.ok and outcome.retries == 1
 
@@ -137,7 +136,7 @@ class TestChaosRecovery:
 
     def test_per_job_timers_are_recorded(self, report):
         timers = report.telemetry["timers"]
-        for job_id in ("lint:chain", "bench:chain", "check:fischer-tight"):
+        for job_id in ("lint:chain", "lint:relay", "check:fischer-tight"):
             assert timers["runner.job." + job_id]["calls"] == 1
 
     def test_worker_telemetry_is_merged_across_processes(self, report):

@@ -108,8 +108,9 @@ def test_unknown_path_404(daemon):
 def test_bad_body_400(daemon):
     _, request = daemon
 
-    status, body, _ = request("POST", "/v1/jobs", {"kind": "zap", "system": "rm"})
-    assert status == 400
+    for kind in ("zap", "bench"):
+        status, body, _ = request("POST", "/v1/jobs", {"kind": kind, "system": "rm"})
+        assert status == 400
     # Non-object JSON
     req = urllib.request.Request(
         request.base + "/v1/jobs", data=b"[1, 2]", method="POST"

@@ -69,6 +69,8 @@ def test_unknown_job_is_none(service):
         ({"kind": "analyze", "system": "rm", "params": {"wat": 1}}, "unknown param"),
         ({"kind": "analyze", "system": "rm", "params": 7}, "params"),
         ({"kind": "analyze", "system": "rm", "chaos": "gremlins"}, "chaos"),
+        # The retired perf-trajectory runner is no longer a job kind.
+        ({"kind": "bench", "system": "rm"}, "unknown kind"),
     ],
 )
 def test_bad_requests_are_400(service, body, fragment):

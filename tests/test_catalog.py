@@ -46,14 +46,6 @@ def test_tracers():
     assert trace_names() == catalog.SURFACE_SYSTEMS
 
 
-def test_bench_profiles():
-    from repro.obs.bench import DEFAULT_ITERATIONS, PROFILES, bench_names
-
-    assert tuple(PROFILES) == catalog.BENCH_PROFILES
-    assert bench_names() == catalog.BENCH_PROFILES
-    assert DEFAULT_ITERATIONS == catalog.BENCH_ITERATIONS
-
-
 def test_owned_constants_come_from_the_catalog():
     from repro.faults.perturb import DIRECTIONS, MODES
     from repro.gen.names import GEN_PREFIX

@@ -154,7 +154,7 @@ class TestRunCommand:
         ledger = str(tmp_path / "ledger.jsonl")
         return (
             main(
-                ["run", "chain", "--kinds", "lint,bench", "--workers", "0",
+                ["run", "chain", "--kinds", "lint,analyze", "--workers", "0",
                  "--ledger", ledger] + list(extra)
             ),
             ledger,
@@ -165,7 +165,7 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "ledger: {}".format(ledger) in out
-        assert "lint:chain" in out and "bench:chain" in out
+        assert "lint:chain" in out and "analyze:chain" in out
 
     def test_json_report_shape(self, capsys, tmp_path):
         import json
@@ -175,7 +175,7 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["interrupted"] is False
         assert sorted(j["job_id"] for j in payload["jobs"]) == [
-            "bench:chain", "lint:chain",
+            "analyze:chain", "lint:chain",
         ]
         assert all(j["status"] == "ok" for j in payload["jobs"])
 
@@ -200,8 +200,10 @@ class TestRunCommand:
              "--seeds", "1", "--steps", "10", "--ledger", ledger, "--json"]
         ) == 1
 
-    def test_unknown_kind_is_a_usage_error(self, capsys, tmp_path):
-        code, _ = self._run(tmp_path, "--kinds", "frobnicate")
+    # ``bench`` was a job kind until the perf-trajectory runner retired.
+    @pytest.mark.parametrize("kind", ["frobnicate", "bench"])
+    def test_unknown_kind_is_a_usage_error(self, capsys, tmp_path, kind):
+        code, _ = self._run(tmp_path, "--kinds", kind)
         assert code == 2
         assert "unknown job kind" in capsys.readouterr().err
 

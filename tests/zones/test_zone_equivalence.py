@@ -182,9 +182,10 @@ def test_safety_counterexamples_identical(params, expect_violation, monkeypatch)
 
 
 def test_untimed_fischer_counts_anchor():
-    """The construction-predicted untimed reachable-state counts the
-    bench gate relies on (28/152/752) still hold — they are computed by
-    the untimed explorer and must be untouched by the zone rewrite."""
+    """The construction-predicted untimed reachable-state counts
+    (28/152/752, pinned per family in tests/gen/test_families.py) still
+    hold — they are computed by the untimed explorer and must be
+    untouched by the zone rewrite."""
     from repro.ioa.explorer import explore
 
     for spec, want in [
