@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos test for the serving daemon (`python -m repro serve`).
 
-Asserts the three fault-tolerance guarantees docs/serving.md promises,
+Asserts the four fault-tolerance guarantees docs/serving.md promises,
 end to end over real HTTP against real daemon processes:
 
 A. **kill -9 loses nothing** — a daemon under concurrent load is
@@ -14,6 +14,10 @@ B. **circuit breakers** — a system whose workers always crash trips
 C. **deadlines degrade, never hang** — a request with a tight
    ``deadline_ms`` settles quickly as a partial ``exhausted_budget``
    verdict instead of overrunning its deadline.
+D. **malformed params are refused at admission** — on one keep-alive
+   connection, requests whose param values fail their kind's
+   validators (``repro.catalog.KIND_SPECS``) get a 400 body, spawn no
+   attempt, and leave the connection serving the next valid request.
 
 Run from the repo root (CI's serve-smoke job does):
 
@@ -23,6 +27,7 @@ Exits 0 when every scenario holds, 1 with a FAIL line otherwise.
 Stdlib only, like everything else in this repo.
 """
 
+import http.client
 import json
 import os
 import shutil
@@ -127,7 +132,10 @@ def scenario_crash_recovery(root):
             status, doc, _ = daemon.request("POST", "/v1/jobs", body)
             check(status in (200, 202), "submit accepted (got {})".format(status))
             accepted.append(doc["job_id"])
-        time.sleep(0.4)  # let some finish, leave some in flight
+        # Kill as soon as the first job has finished, so some are done
+        # and the rest are still queued or in flight whatever the host's
+        # speed (a fixed sleep let every job finish first on fast hosts).
+        daemon.wait_done(accepted[0])
         daemon.sigkill()
     finally:
         daemon.stop()
@@ -249,12 +257,69 @@ def scenario_deadlines(root):
         daemon.stop()
 
 
+def scenario_param_validation(root):
+    """D: malformed param values are 400s; the connection lives on."""
+    print("--- scenario D: param validation on one keep-alive connection")
+    workdir = os.path.join(root, "d")
+    os.makedirs(workdir)
+    daemon = Daemon(workdir, "--workers", "1", "--journal", "j.jsonl")
+    conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=30)
+
+    def exchange(method, path, body=None):
+        data = None if body is None else json.dumps(body)
+        conn.request(method, path, body=data, headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+
+    def attempts():
+        _, stats = exchange("GET", "/v1/stats")
+        timers = stats["telemetry"].get("timers", {})
+        return sum(t["calls"] for n, t in timers.items() if n.startswith("serve.attempt."))
+
+    try:
+        before = attempts()
+        for body, param in (
+            ({"kind": "check", "system": "rm", "params": {"seeds": "x"}}, "seeds"),
+            ({"kind": "lint", "system": "rm", "params": {"max_states": "many"}}, "max_states"),
+            ({"kind": "fuzz", "system": "gen", "params": {"seed": "abc"}}, "seed"),
+            # Refused at once, not after a billion-digit power.
+            ({"kind": "perturb", "system": "rm", "params": {"epsilon": "1e-999999999"}},
+             "epsilon"),
+        ):
+            status, doc = exchange("POST", "/v1/jobs", body)
+            check(
+                status == 400 and param in doc.get("error", ""),
+                "malformed {} params answered 400 naming {!r} (got {})".format(
+                    body["kind"], param, status),
+            )
+        _, stats = exchange("GET", "/v1/stats")
+        check(stats["jobs"] == {}, "rejected requests left no job behind")
+        check(attempts() == before, "rejected requests spawned no attempt")
+        status, doc = exchange("POST", "/v1/jobs", {"kind": "analyze", "system": "chain"})
+        check(status in (200, 202), "valid request on the same connection admitted "
+              "(got {})".format(status))
+        deadline = time.monotonic() + 60
+        while doc.get("state") != "done" and time.monotonic() < deadline:
+            time.sleep(0.05)
+            _, doc = exchange("GET", "/v1/jobs/" + doc["job_id"])
+        check(doc.get("state") == "done" and doc["result"]["ok"],
+              "valid request answered ok on the same connection")
+        check(attempts() == before + 1, "only the valid request spawned an attempt")
+        conn.close()
+        code = daemon.sigterm()
+        check(code == 0, "drain exits 0 (got {})".format(code))
+    finally:
+        conn.close()
+        daemon.stop()
+
+
 def main():
     root = tempfile.mkdtemp(prefix="repro-serve-chaos-", dir=os.getcwd())
     try:
         scenario_crash_recovery(root)
         scenario_circuit_breaker(root)
         scenario_deadlines(root)
+        scenario_param_validation(root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     if FAILURES:

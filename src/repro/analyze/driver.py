@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import catalog
 from repro.obs import instrument as _telemetry
 from repro.lint.diagnostics import LintReport
 # The waiver semantics must match the lint driver exactly, so the
@@ -44,10 +45,6 @@ __all__ = [
 ]
 
 ANALYZE_SCHEMA_VERSION = 1
-
-#: Systems shipped deliberately broken: their analysis is *expected* to
-#: refute (mirrors the check/perturb expectation set).
-_EXPECTED_BROKEN = frozenset({"fischer-tight"})
 
 #: Interference waivers, same shape as SystemTarget waivers: known,
 #: deliberate modelling choices that must not fail a strict gate.
@@ -256,7 +253,7 @@ def analyze_system(name: str) -> AnalyzeReport:
         interference=report,
         bounds=bounds,
         tolerance=closed_form_tolerance(name),
-        expected_broken=name in _EXPECTED_BROKEN,
+        expected_broken=name in catalog.EXPECTED_BROKEN,
         wall=time.perf_counter() - started,
     )
 

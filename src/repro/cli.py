@@ -46,77 +46,40 @@ from repro import catalog
 __all__ = ["main"]
 
 
-def _fraction(text: str) -> Fraction:
-    """Accept '3', '3/2' or '1.5'."""
-    if "/" in text:
-        numerator, denominator = text.split("/", 1)
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(text)
+def _arg_type(validate):
+    """An argparse type from a :mod:`repro.catalog` validator: nonsense
+    exits 2 before any engine spins up."""
+
+    def parse(text: str):
+        try:
+            return validate(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (nonsense exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            "expected a positive integer, got {}".format(value)
-        )
-    return value
+_fraction = _arg_type(catalog.exact)
+_positive_int = _arg_type(catalog.positive_int)
+_nonneg_int = _arg_type(catalog.nonneg_int)
+_positive_fraction = _arg_type(lambda text: Fraction(catalog.positive_fraction(text)))
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type: an integer >= 0 (nonsense exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "expected a nonnegative integer, got {}".format(value)
-        )
-    return value
-
-
-def _positive_fraction(text: str) -> Fraction:
-    """argparse type: a fraction/decimal > 0 (nonsense exits 2)."""
-    try:
-        value = _fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected a number, got {!r}".format(text))
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            "expected a positive number, got {}".format(value)
-        )
-    return value
-
-
-def _gen_aware_system(known) -> "argparse.FileType":
-    """argparse type: a shipped system name, ``all``, or a parsable
-    ``gen:``-namespace name (``gen:fischer-4``).  Replaces ``choices=``
-    so generated names stay open-ended while nonsense still exits 2."""
-    shipped = list(known)
+def _gen_aware_system(kind: str):
+    """argparse type: ``all`` or a system the job ``kind`` admits
+    (:meth:`repro.catalog.KindSpec.admit_system`), a ``gen:`` name in
+    its canonical spelling.  Replaces ``choices=`` so generated names
+    stay open-ended while nonsense still exits 2."""
+    spec = catalog.KIND_SPECS[kind]
 
     def validate(text: str) -> str:
-        if text in shipped or text == "all":
-            return text
         from repro.errors import ReproError
-        from repro.gen import is_gen_name, parse
 
-        if is_gen_name(text):
-            try:
-                parse(text)
-            except ReproError as exc:
-                raise argparse.ArgumentTypeError(str(exc))
-            return text
-        raise argparse.ArgumentTypeError(
-            "unknown system {!r}; choose from {}, 'all', or a generated "
-            "name like gen:fischer-4".format(text, ", ".join(shipped))
-        )
+        try:
+            return text if text == "all" else spec.admit_system(text)
+        except (ValueError, ReproError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-    validate.__name__ = "system"
     return validate
 
 
@@ -437,7 +400,72 @@ def cmd_peterson(args) -> int:
     return 0 if (bad is None and agree and not violations) else 1
 
 
-def _lint_entry(name: str, args) -> dict:
+def _verdict_command(args, kind, entry_of, failed, render) -> int:
+    """The ``lint``/``analyze``/``check`` loop: per system, answer from
+    the verdict cache or compute ``entry_of(name, args, cache)`` and
+    store it; then print the entries as JSON or through ``render``, and
+    exit 1 when ``failed(entry, args)`` holds for any of them."""
+    names = list(catalog.KIND_SPECS[kind].systems) if args.system == "all" else [args.system]
+    cache = _cli_cache(args)
+    # The key parts are the kind's spec params as this command set them,
+    # minus ``strict``: an entry records both strictness verdicts.  The
+    # ``payload`` part keeps these report entries apart from the verdict
+    # payloads that campaign and served jobs of the same kind store.
+    base = {
+        param: getattr(args, param)
+        for param in catalog.KIND_SPECS[kind].params
+        if param != "strict"
+    }
+    base["payload"] = "report"
+    entries = []
+    for name in names:
+        parts = _with_gen_parts(name, dict(base))
+        entry = None if cache is None else cache.lookup(kind, name, parts)
+        cached = entry is not None
+        if entry is None:
+            entry = entry_of(name, args, cache)
+            # An inconclusive verdict (a budget cut or a truncated
+            # exploration) proves nothing either way: never cached.
+            if cache is not None and entry.get("conclusive", True):
+                cache.store(kind, name, parts, entry)
+        entries.append(dict(entry, cached=cached))
+    any_failed = any(failed(entry, args) for entry in entries)
+    if args.json:
+        import json as _json
+
+        print(_json.dumps(entries if args.system == "all" else entries[0], indent=2))
+    else:
+        render(entries)
+        print("verdict: {}".format("FAIL" if any_failed else "ok"))
+    _print_cache_stats(cache)
+    return 1 if any_failed else 0
+
+
+def _render_reports(kind):
+    """The text renderer of ``lint``/``analyze`` entries."""
+
+    def render(entries) -> None:
+        for entry in entries:
+            print(
+                "{} {}{}:".format(
+                    kind, entry["system"], " (cached)" if entry["cached"] else ""
+                )
+            )
+            print(entry["rendered"])
+            if entry.get("expected_broken"):
+                print(
+                    "  ({})".format(
+                        "expected-broken: refuted as it should be"
+                        if entry["fails"]["default"]
+                        else "UNEXPECTED PASS for a deliberately broken system"
+                    )
+                )
+            print()
+
+    return render
+
+
+def _lint_entry(name: str, args, cache) -> dict:
     """Lint one system: the cache entry a miss computes and stores."""
     from repro.lint import build_target, lint_system
 
@@ -454,41 +482,15 @@ def _lint_entry(name: str, args) -> dict:
     }
 
 
-def cmd_lint(args) -> int:
-    names = list(catalog.LINT_SYSTEMS) if args.system == "all" else [args.system]
-    cache = _cli_cache(args)
-    entries = []
-    failed = False
-    for name in names:
-        # The rule set needs no key part of its own: every module that
-        # registers a rule is in the lint closure fingerprint.
-        parts = _with_gen_parts(name, {"max_states": args.max_states})
-        entry = None if cache is None else cache.lookup("lint", name, parts)
-        cached = entry is not None
-        if entry is None:
-            entry = _lint_entry(name, args)
-            if cache is not None:
-                cache.store("lint", name, parts, entry)
-        entry = dict(entry)
-        entry["cached"] = cached
-        failed = failed or entry["fails"]["strict" if args.strict else "default"]
-        entries.append(entry)
-    if args.json:
-        import json as _json
+def _report_failed(entry, args) -> bool:
+    # Expected-broken systems (fischer-tight) must be refuted: only a
+    # verdict/expectation mismatch fails the command.
+    fails = entry["fails"]["strict" if args.strict else "default"]
+    return fails != entry.get("expected_broken", False)
 
-        print(_json.dumps(entries if args.system == "all" else entries[0], indent=2))
-    else:
-        for entry in entries:
-            print(
-                "lint {}{}:".format(
-                    entry["system"], " (cached)" if entry["cached"] else ""
-                )
-            )
-            print(entry["rendered"])
-            print()
-        print("verdict: {}".format("FAIL" if failed else "ok"))
-    _print_cache_stats(cache)
-    return 1 if failed else 0
+
+def cmd_lint(args) -> int:
+    return _verdict_command(args, "lint", _lint_entry, _report_failed, _render_reports("lint"))
 
 
 def _analyze_entry(name: str, args, cache) -> dict:
@@ -505,50 +507,9 @@ def _analyze_entry(name: str, args, cache) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    names = list(catalog.SURFACE_SYSTEMS) if args.system == "all" else [args.system]
-    cache = _cli_cache(args)
-    entries = []
-    failed = False
-    for name in names:
-        parts = _with_gen_parts(name, {})
-        entry = None if cache is None else cache.lookup("analyze", name, parts)
-        cached = entry is not None
-        if entry is None:
-            entry = _analyze_entry(name, args, cache)
-            if cache is not None:
-                cache.store("analyze", name, parts, entry)
-        entry = dict(entry)
-        entry["cached"] = cached
-        fail_flag = entry["fails"]["strict" if args.strict else "default"]
-        # Expected-broken systems (fischer-tight) must be refuted:
-        # only a verdict/expectation mismatch fails the command.
-        unexpected = fail_flag == (not entry["expected_broken"])
-        failed = failed or unexpected
-        entries.append(entry)
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(entries if args.system == "all" else entries[0], indent=2))
-    else:
-        for entry in entries:
-            print(
-                "analyze {}{}:".format(
-                    entry["system"], " (cached)" if entry["cached"] else ""
-                )
-            )
-            print(entry["rendered"])
-            if entry["expected_broken"]:
-                print(
-                    "  ({})".format(
-                        "expected-broken: refuted as it should be"
-                        if entry["fails"]["default"]
-                        else "UNEXPECTED PASS for a deliberately broken system"
-                    )
-                )
-            print()
-        print("verdict: {}".format("FAIL" if failed else "ok"))
-    _print_cache_stats(cache)
-    return 1 if failed else 0
+    return _verdict_command(
+        args, "analyze", _analyze_entry, _report_failed, _render_reports("analyze")
+    )
 
 
 def _perturb_budget_factory(args):
@@ -558,7 +519,7 @@ def _perturb_budget_factory(args):
         return Budget(
             max_states=args.max_states,
             max_steps=args.max_steps,
-            wall_time=args.wall_time,
+            wall_time=Fraction(args.wall_time),
         )
 
     return factory
@@ -584,20 +545,20 @@ def cmd_perturb(args) -> int:
         if args.epsilon is not None:
             parts = _with_gen_parts(name, target.cache_parts())
             parts.update(
-                epsilon=str(args.epsilon),
+                epsilon=args.epsilon,
                 max_states=args.max_states,
                 max_steps=args.max_steps,
-                wall_time=str(args.wall_time),
+                wall_time=args.wall_time,
             )
             entry = None if cache is None else cache.lookup("perturb", name, parts)
             cached = entry is not None
             if entry is None:
-                outcome = target.evaluate(args.epsilon, factory())
+                outcome = target.evaluate(Fraction(args.epsilon), factory())
                 entry = {
                     "system": name,
                     "direction": target.direction,
                     "mode": target.mode,
-                    "epsilon": str(args.epsilon),
+                    "epsilon": args.epsilon,
                     "ok": outcome.ok,
                     "conclusive": outcome.conclusive,
                     "steps_checked": outcome.steps_checked,
@@ -606,8 +567,7 @@ def cmd_perturb(args) -> int:
                 }
                 if cache is not None and entry["conclusive"]:
                     cache.store("perturb", name, parts, entry)
-            entry = dict(entry)
-            entry["cached"] = cached
+            entry = dict(entry, cached=cached)
             failed = failed or not entry["ok"]
             payload.append(entry)
             if not args.json:
@@ -701,7 +661,7 @@ def cmd_run(args) -> int:
                 epsilon=args.epsilon,
                 max_states=args.max_states,
                 max_steps=args.max_steps,
-                wall_time=float(args.wall_time),
+                wall_time=args.wall_time,
                 fuzz_count=args.fuzz_count,
                 fuzz_shard=args.fuzz_shard,
             )
@@ -844,66 +804,40 @@ def _check_entry(name: str, args, cache) -> dict:
     }
 
 
+def _render_check(entries) -> None:
+    from repro.analysis.report import Table
+
+    table = Table("check — full nominal verification", [
+        "system", "states", "mappings", "battery", "cached", "verdict",
+    ])
+    for entry in entries:
+        if entry["ok"]:
+            verdict = "unexpected-pass" if entry["expected_broken"] else "ok"
+        else:
+            verdict = "expected-broken" if entry["expected_broken"] else "FAIL"
+        table.add_row(
+            entry["system"],
+            entry["states"],
+            "{}/{}".format(
+                sum(1 for m in entry["mappings"] if m["ok"]),
+                len(entry["mappings"]),
+            ),
+            "ok" if entry["battery"]["ok"] else "FAIL",
+            "yes" if entry["cached"] else "no",
+            verdict,
+        )
+    table.print()
+    print()
+
+
 def cmd_check(args) -> int:
-    import json as _json
-
-    names = list(catalog.SURFACE_SYSTEMS) if args.system == "all" else [args.system]
-    cache = _cli_cache(args)
-    entries = []
-    failed = False
-    for name in names:
-        parts = _with_gen_parts(name, {
-            "seeds": args.seeds,
-            "steps": args.steps,
-            "seed": args.seed,
-            "max_states": args.max_states,
-            "max_steps": args.max_steps,
-            "wall_time": str(args.wall_time),
-        })
-        entry = None if cache is None else cache.lookup("check", name, parts)
-        cached = entry is not None
-        if entry is None:
-            entry = _check_entry(name, args, cache)
-            if cache is not None and entry["conclusive"]:
-                cache.store("check", name, parts, entry)
-        entry = dict(entry)
-        entry["cached"] = cached
-        # A deliberately-broken system (fischer-tight) is *expected*
-        # to fail: only a mismatch between verdict and expectation
-        # counts against the exit code.
-        unexpected = entry["ok"] == entry["expected_broken"]
-        failed = failed or unexpected
-        entries.append(entry)
-    if args.json:
-        print(_json.dumps(entries if args.system == "all" else entries[0], indent=2))
-    else:
-        from repro.analysis.report import Table
-
-        table = Table("check — full nominal verification", [
-            "system", "states", "mappings", "battery", "cached", "verdict",
-        ])
-        for entry in entries:
-            if entry["ok"]:
-                verdict = "unexpected-pass" if entry["expected_broken"] else "ok"
-            else:
-                verdict = (
-                    "expected-broken" if entry["expected_broken"] else "FAIL"
-                )
-            table.add_row(
-                entry["system"],
-                entry["states"],
-                "{}/{}".format(
-                    sum(1 for m in entry["mappings"] if m["ok"]),
-                    len(entry["mappings"]),
-                ),
-                "ok" if entry["battery"]["ok"] else "FAIL",
-                "yes" if entry["cached"] else "no",
-                verdict,
-            )
-        table.print()
-        print("\nverdict: {}".format("FAIL" if failed else "ok"))
-    _print_cache_stats(cache)
-    return 1 if failed else 0
+    # A deliberately-broken system (fischer-tight) is *expected* to
+    # fail: only a mismatch between verdict and expectation counts
+    # against the exit code.
+    return _verdict_command(
+        args, "check", _check_entry, lambda entry, args: entry["ok"] == entry["expected_broken"],
+        _render_check,
+    )
 
 
 def cmd_serve(args) -> int:
@@ -1087,6 +1021,30 @@ def cmd_trace(args) -> int:
     return 0 if summary.get("ok", True) else 1
 
 
+#: Help of the proof battery's flags; budget lines name their unit.
+_BATTERY_HELP = {
+    "seeds": "uniform-strategy seeds",
+    "steps": "events per run",
+    "seed": "base RNG seed",
+    "max_states": "budget: states/nodes per {}",
+    "max_steps": "budget: steps per {}",
+    "wall_time": "budget: seconds of wall time per {}",
+}
+
+
+def _add_battery_arguments(parser, per: str, **defaults) -> None:
+    """The proof battery's flags, typed by the ``check`` spec's
+    validators: ``--seeds/--steps/--seed`` and the budget per ``per``.
+    ``defaults`` replaces a flag's spec default."""
+    for param, (default, validate) in catalog.KIND_SPECS["check"].params.items():
+        parser.add_argument(
+            "--" + param.replace("_", "-"),
+            type=_arg_type(validate),
+            default=defaults.get(param, default),
+            help=_BATTERY_HELP[param].format(per),
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1157,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="static pre-flight diagnostics for a shipped system"
     )
     lint.add_argument(
-        "system", type=_gen_aware_system(catalog.LINT_SYSTEMS),
+        "system", type=_gen_aware_system("lint"),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     lint.add_argument(
@@ -1168,7 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--max-states",
-        type=int,
+        type=_positive_int,
         default=catalog.LINT_MAX_STATES,
         help="cap on bounded exploration per automaton",
     )
@@ -1182,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
              "closed-form Theorem 6.4 bounds — no state exploration",
     )
     analyze.add_argument(
-        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
+        "system", type=_gen_aware_system("analyze"),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     analyze.add_argument(
@@ -1200,24 +1158,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(exploration + exhaustive mapping checks + proof battery)",
     )
     check.add_argument(
-        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
+        "system", type=_gen_aware_system("check"),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
-    check.add_argument("--seeds", type=int, default=3, help="uniform-strategy seeds")
-    check.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    check.add_argument("--steps", type=int, default=80, help="events per run")
-    check.add_argument(
-        "--max-states", type=int, default=200_000,
-        help="budget: states/nodes per phase",
-    )
-    check.add_argument(
-        "--max-steps", type=int, default=2_000_000,
-        help="budget: steps per phase",
-    )
-    check.add_argument(
-        "--wall-time", type=_fraction, default=Fraction(60),
-        help="budget: seconds of wall time per phase",
-    )
+    _add_battery_arguments(check, "phase", seeds=3, steps=80)
     check.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
@@ -1229,13 +1173,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection: how much clock drift do the proofs survive?",
     )
     perturb.add_argument(
-        "system", type=_gen_aware_system(catalog.SURFACE_SYSTEMS),
+        "system", type=_gen_aware_system("perturb"),
         help="a shipped system, 'all', or a generated name (gen:fischer-4)",
     )
     group = perturb.add_mutually_exclusive_group()
     group.add_argument(
         "--epsilon",
-        type=_fraction,
+        type=_arg_type(catalog.nonneg_fraction),
         default=None,
         help="evaluate all checks at one exact drift ε (exit 1 on failure)",
     )
@@ -1265,24 +1209,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=Fraction(1, 64),
         help="bracket width at which the search stops",
     )
-    perturb.add_argument("--seeds", type=int, default=3, help="uniform-strategy seeds")
-    perturb.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    perturb.add_argument("--steps", type=int, default=80, help="events per run")
     perturb.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    perturb.add_argument(
-        "--max-states", type=int, default=200_000,
-        help="budget: states/nodes per probe",
-    )
-    perturb.add_argument(
-        "--max-steps", type=int, default=2_000_000,
-        help="budget: steps per probe",
-    )
-    perturb.add_argument(
-        "--wall-time", type=_fraction, default=Fraction(60),
-        help="budget: seconds of wall time per probe",
-    )
+    _add_battery_arguments(perturb, "probe", seeds=3, steps=80)
     _add_cache_argument(perturb)
     perturb.set_defaults(func=cmd_perturb)
 
@@ -1340,24 +1270,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="dist: worker heartbeat interval (must be < --lease-ms)",
     )
     run.add_argument(
-        "--epsilon", type=_fraction, default=Fraction(1, 32),
-        help="drift probed by 'perturb' jobs",
+        "--epsilon", type=_arg_type(catalog.nonneg_fraction), default=None,
+        help="drift probed by 'perturb' jobs (default {})".format(
+            catalog.KIND_SPECS["perturb"].params["epsilon"][0]
+        ),
     )
-    run.add_argument("--seeds", type=int, default=2, help="simulation seeds per check job")
-    run.add_argument("--steps", type=int, default=40, help="events per simulated run")
-    run.add_argument("--seed", type=int, default=0, help="base RNG seed (also jitters backoff)")
-    run.add_argument(
-        "--max-states", type=int, default=200_000, help="budget: states/nodes per job"
-    )
-    run.add_argument(
-        "--max-steps", type=int, default=2_000_000, help="budget: steps per job"
+    # None leaves each job kind's spec default in force.
+    _add_battery_arguments(
+        run, "job", **dict.fromkeys(("seeds", "steps", "max_states", "max_steps", "wall_time"))
     )
     run.add_argument(
-        "--wall-time", type=_fraction, default=Fraction(60),
-        help="budget: in-job seconds before graceful degradation",
-    )
-    run.add_argument(
-        "--fuzz-count", type=_positive_int, default=100,
+        "--fuzz-count", type=_positive_int, default=catalog.FUZZ_CAMPAIGN,
         help="instances per 'fuzz'-kind campaign",
     )
     run.add_argument(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import catalog
 from repro.core.checker import CheckOutcome
 from repro.core.dummification import undum
 from repro.core.mappings import MappingChain
@@ -479,10 +480,6 @@ _BUILDERS: Dict[str, Tuple[Callable, str]] = {
 }
 
 
-#: Systems whose nominal (ε = 0) checks are *supposed* to fail.
-_EXPECTED_BROKEN = frozenset({"fischer-tight"})
-
-
 def perturb_names() -> Tuple[str, ...]:
     """Names accepted by :func:`build_perturb_target` (and the CLI)."""
     return tuple(_BUILDERS)
@@ -542,7 +539,7 @@ def build_perturb_target(
         mode=mode,
         ceiling=ceiling,
         evaluate=_guarded(evaluate),
-        expected_broken=name in _EXPECTED_BROKEN,
+        expected_broken=name in catalog.EXPECTED_BROKEN,
         seeds=seeds,
         steps=steps,
         seed=seed,

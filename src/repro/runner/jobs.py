@@ -3,7 +3,9 @@
 A :class:`Job` is the unit a supervised campaign schedules: one check
 kind applied to one system, with plain-JSON parameters so it can cross
 a process boundary (``multiprocessing`` spawn) and a checkpoint ledger
-unchanged.  Five kinds decompose the repo's whole verification surface:
+unchanged.  Each kind's params, defaults, validators and systems are
+declared once, in :data:`repro.catalog.KIND_SPECS`.  Five kinds
+decompose the repo's whole verification surface:
 
 - ``check``   — the system's full nominal proof battery (mapping/chain
   checks on adversarial runs, Lemma 2.1 acceptance, exact zone bounds)
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.catalog import JOB_KINDS
+from repro import catalog
+from repro.catalog import FUZZ_SYSTEM, JOB_KINDS, KIND_SPECS
 from repro.errors import ReproError
 from repro.obs.instrument import Recorder, recording
 
@@ -45,22 +48,9 @@ __all__ = [
     "job_cache_parts",
 ]
 
-#: The synthetic "system" every fuzz shard runs against: a campaign
-#: fuzzes *random* instances, so no shipped system name applies.
-FUZZ_SYSTEM = "gen"
-
 #: Version stamp on worker result payloads; a payload without it (or
 #: with a future one) is classified ``malformed`` by the supervisor.
 RESULT_SCHEMA_VERSION = 1
-
-#: Systems whose *verdict failure* is the expected finding (the repo
-#: deliberately ships a broken Fischer variant to prove the checkers
-#: catch it) — the supervisor inverts success for these jobs.
-_EXPECTED_FAILURES = {
-    ("analyze", "fischer-tight"),
-    ("check", "fischer-tight"),
-    ("perturb", "fischer-tight"),
-}
 
 
 @dataclass(frozen=True)
@@ -113,103 +103,97 @@ class Job:
         return replace(self, chaos=chaos)
 
 
-def _campaign_systems(requested: Optional[Sequence[str]]) -> Optional[List[str]]:
-    if requested is None:
-        return None
-    systems = list(dict.fromkeys(requested))
-    if "all" in systems:
-        return None
-    return systems
+def _admit(kind: str, raw: Dict[str, Any]) -> Dict[str, Any]:
+    try:
+        return KIND_SPECS[kind].admit(raw)
+    except ValueError as exc:
+        raise ReproError("{} jobs: {}".format(kind, exc))
+
+
+def _systems_by_kind(requested: Optional[Sequence[str]]) -> Dict[str, List[str]]:
+    """``kind -> the requested systems it admits``, each in its
+    canonical spelling; every declared system for no request or one
+    that names ``all``.  A name no kind admits raises."""
+    if requested is None or "all" in requested:
+        return {kind: list(spec.systems) for kind, spec in KIND_SPECS.items()}
+    chosen: Dict[str, List[str]] = {kind: [] for kind in KIND_SPECS}
+    for name in requested:
+        admitted = False
+        for kind, spec in KIND_SPECS.items():
+            try:  # a malformed ``gen:`` name raises with a precise message
+                system = spec.admit_system(name)
+            except ValueError:
+                continue
+            admitted = True
+            if system not in chosen[kind]:
+                chosen[kind].append(system)
+        if not admitted:
+            known = set().union(*(spec.systems for spec in KIND_SPECS.values()))
+            raise ReproError("unknown system {!r}; known: {}".format(
+                name, ", ".join(sorted(known))
+            ))
+    return chosen
+
+
+#: Static passes take their spec defaults: ``--max-states`` is the
+#: proof battery's per-job budget, not lint's exploration cap.
+_STATIC_KINDS = ("lint", "analyze")
 
 
 def default_jobs(
     systems: Optional[Sequence[str]] = None,
     kinds: Iterable[str] = JOB_KINDS,
-    seeds: int = 2,
-    steps: int = 40,
-    seed: int = 0,
-    epsilon: Fraction = Fraction(1, 32),
-    max_states: int = 200_000,
-    max_steps: int = 2_000_000,
-    wall_time: float = 60.0,
-    fuzz_count: int = 100,
+    fuzz_count: int = catalog.FUZZ_CAMPAIGN,
     fuzz_shard: int = 50,
+    **overrides: Any,
 ) -> List[Job]:
     """Decompose the requested verification surface into jobs.
 
     ``systems=None`` (or a list containing ``"all"``) means every
-    system each kind knows about; otherwise each kind keeps the
-    intersection of the request with its own registry, and a request
-    matching *no* kind at all raises.
-    """
-    from repro.analyze import analyze_names
-    from repro.faults.targets import perturb_names
-    from repro.gen import is_gen_name, parse as parse_gen_name
-    from repro.lint.targets import system_names as lint_names
+    system each kind declares in :data:`repro.catalog.KIND_SPECS`;
+    otherwise each kind keeps the requested systems it admits, and a
+    request matching *no* kind at all raises.
 
-    chosen = _campaign_systems(systems)
+    ``overrides`` (``seeds``, ``steps``, ``seed``, ``epsilon``,
+    ``max_states``, ``max_steps``, ``wall_time``) replace the spec
+    default of every non-static kind that declares the param; ``None``
+    keeps it.  The fuzz campaign's ``fuzz_count`` instances split into
+    shards of ``fuzz_shard``.
+    """
+    chosen = _systems_by_kind(systems)
     kinds = [k for k in JOB_KINDS if k in set(kinds)]
     if not kinds:
         raise ReproError("no job kinds selected")
-    registry = {
-        "lint": list(lint_names()),
-        "analyze": list(analyze_names()),
-        "check": list(perturb_names()),
-        "perturb": list(perturb_names()),
-        "fuzz": [FUZZ_SYSTEM],
-    }
-    known = set().union(*registry.values())
-    if chosen is not None:
-        for name in chosen:
-            if is_gen_name(name):
-                # Raises with a precise message on a malformed or
-                # out-of-range generated name; a valid one joins every
-                # registry whose check applies to generated systems.
-                parse_gen_name(name)
-                for kind in ("lint", "analyze", "check", "perturb"):
-                    registry[kind].append(name)
-                known.add(name)
-        unknown = [name for name in chosen if name not in known]
-        if unknown:
-            raise ReproError(
-                "unknown system(s) {}; known: {}".format(
-                    ", ".join(unknown), ", ".join(sorted(known))
-                )
-            )
-    budget = {
-        "max_states": max_states,
-        "max_steps": max_steps,
-        "wall_time": wall_time,
-    }
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    undeclared = set(overrides).difference(*(spec.params for spec in KIND_SPECS.values()))
+    if undeclared:
+        raise ReproError("unknown job param(s) {}".format(", ".join(sorted(undeclared))))
     jobs: List[Job] = []
     for kind in kinds:
-        for name in registry[kind]:
-            if chosen is not None and name not in chosen:
-                continue
-            if kind == "fuzz":
-                jobs.extend(fuzz_shards(seed=seed, count=fuzz_count, shard=fuzz_shard))
-                continue
-            if kind in ("check", "perturb"):
-                params: Dict[str, Any] = dict(budget)
-                params.update(seeds=seeds, steps=steps, seed=seed)
-                params["epsilon"] = str(epsilon if kind == "perturb" else Fraction(0))
-            else:  # lint/analyze: purely static, no budget to thread
-                params = {"strict": False}
-            jobs.append(
-                Job(
-                    job_id="{}:{}".format(kind, name),
-                    kind=kind,
-                    system=name,
-                    params=params,
-                    expect_failure=(kind, name) in _EXPECTED_FAILURES,
-                )
+        spec = KIND_SPECS[kind]
+        params = _admit(kind, {
+            key: value for key, value in overrides.items()
+            if key in spec.params and kind not in _STATIC_KINDS
+        })
+        if kind == "fuzz" and chosen[kind]:
+            jobs.extend(fuzz_shards(seed=params["seed"], count=fuzz_count, shard=fuzz_shard))
+            continue
+        jobs.extend(
+            Job(
+                job_id="{}:{}".format(kind, name),
+                kind=kind,
+                system=name,
+                params=dict(params),
+                expect_failure=name in catalog.EXPECTED_BROKEN,
             )
+            for name in chosen[kind]
+        )
     if not jobs:
         raise ReproError("the requested systems/kinds produced no jobs")
     return jobs
 
 
-def fuzz_shards(seed: int = 0, count: int = 100, shard: int = 50) -> List[Job]:
+def fuzz_shards(seed: int = 0, count: int = catalog.FUZZ_CAMPAIGN, shard: int = 50) -> List[Job]:
     """Split one ``count``-instance fuzz campaign into shard jobs.
 
     Shards share the campaign ``seed`` and partition the index range
@@ -222,26 +206,27 @@ def fuzz_shards(seed: int = 0, count: int = 100, shard: int = 50) -> List[Job]:
         raise ReproError("fuzz campaign needs a positive instance count")
     if shard <= 0:
         raise ReproError("fuzz shard size must be positive")
-    jobs: List[Job] = []
-    for number, start in enumerate(range(0, count, shard)):
-        jobs.append(
-            Job(
-                job_id="fuzz:{}:s{}".format(FUZZ_SYSTEM, number),
-                kind="fuzz",
-                system=FUZZ_SYSTEM,
-                params={
-                    "count": min(shard, count - start),
-                    "seed": seed,
-                    "start": start,
-                },
-            )
+    return [
+        Job(
+            job_id="fuzz:{}:s{}".format(FUZZ_SYSTEM, number),
+            kind="fuzz",
+            system=FUZZ_SYSTEM,
+            params=_admit(
+                "fuzz", {"count": min(shard, count - start), "seed": seed, "start": start}
+            ),
         )
-    return jobs
+        for number, start in enumerate(range(0, count, shard))
+    ]
 
 
 # ----------------------------------------------------------------------
 # In-process execution
 # ----------------------------------------------------------------------
+
+
+def _params(job: Job) -> Dict[str, Any]:
+    """The job's params over its kind's spec defaults."""
+    return dict(KIND_SPECS[job.kind].admit({}), **job.params)
 
 
 def _scaled_budget(params: Dict[str, Any]):
@@ -257,42 +242,40 @@ def _scaled_budget(params: Dict[str, Any]):
     return Budget(
         max_states=None if max_states is None else int(max_states) * scale,
         max_steps=None if max_steps is None else int(max_steps) * scale,
-        wall_time=None if wall_time is None else float(wall_time) * scale,
+        wall_time=None if wall_time is None else float(Fraction(wall_time)) * scale,
     )
 
 
 def _run_lint(job: Job) -> Tuple[bool, bool, bool, str]:
-    from repro.lint import DEFAULT_MAX_STATES, build_target, lint_system
+    from repro.lint import build_target, lint_system
 
-    report = lint_system(
-        build_target(job.system),
-        max_states=int(job.params.get("max_states", DEFAULT_MAX_STATES)),
-    )
-    strict = bool(job.params.get("strict", False))
+    params = _params(job)
+    report = lint_system(build_target(job.system), max_states=int(params["max_states"]))
     summary = report.summary()
     detail = ", ".join("{}={}".format(k, v) for k, v in sorted(summary.items()))
-    return (not report.fails(strict=strict), True, False, detail)
+    return (not report.fails(strict=bool(params["strict"])), True, False, detail)
 
 
 def _run_analyze(job: Job) -> Tuple[bool, bool, bool, str]:
     from repro.analyze import analyze_system
 
     report = analyze_system(job.system)
-    strict = bool(job.params.get("strict", False))
+    strict = bool(_params(job)["strict"])
     return (not report.fails(strict=strict), True, False, report.summary_line())
 
 
 def _run_battery(job: Job) -> Tuple[bool, bool, bool, str]:
     from repro.faults.targets import build_perturb_target
 
+    params = _params(job)
     target = build_perturb_target(
         job.system,
-        seeds=int(job.params.get("seeds", 2)),
-        steps=int(job.params.get("steps", 40)),
-        seed=int(job.params.get("seed", 0)),
+        seeds=int(params["seeds"]),
+        steps=int(params["steps"]),
+        seed=int(params["seed"]),
     )
     outcome = target.evaluate(
-        Fraction(job.params.get("epsilon", "0")), _scaled_budget(job.params)
+        Fraction(params.get("epsilon", "0")), _scaled_budget(params)
     )
     return (outcome.ok, outcome.conclusive, outcome.exhausted_budget, outcome.detail)
 
@@ -300,11 +283,12 @@ def _run_battery(job: Job) -> Tuple[bool, bool, bool, str]:
 def _run_fuzz(job: Job) -> Tuple[bool, bool, bool, str]:
     from repro.gen.fuzzer import run_campaign
 
+    params = _params(job)
     report = run_campaign(
-        count=int(job.params.get("count", 100)),
-        seed=int(job.params.get("seed", 0)),
-        start=int(job.params.get("start", 0)),
-        artifact_dir=job.params.get("artifacts"),
+        count=int(params["count"]),
+        seed=int(params["seed"]),
+        start=int(params["start"]),
+        artifact_dir=params.get("artifacts"),
     )
     # Every instance completed: the shard is conclusive either way; a
     # disagreement is a *verdict* failure, reported via ``ok``.
@@ -322,8 +306,9 @@ _EXECUTORS = {
 #: Job params that change *how* a verdict is computed, never *what* it
 #: is — excluded from the verdict-cache key.  ``timeout`` is the
 #: supervisor's watchdog, not part of the check; ``cache`` is the gate
-#: itself.
-_UNCACHED_PARAMS = frozenset({"timeout", "cache", "artifacts"})
+#: itself; ``budget_scale`` only widens the budget of a retry, and only
+#: verdicts that did not exhaust their budget are stored.
+_UNCACHED_PARAMS = frozenset({"timeout", "cache", "artifacts", "budget_scale"})
 
 
 def job_cache_parts(job: Job) -> Optional[Dict[str, Any]]:

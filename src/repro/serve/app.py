@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.catalog import KIND_SPECS, nonneg_int, positive_int
 from repro.errors import ReproError
 from repro.obs.instrument import Recorder
 from repro.runner.jobs import JOB_KINDS, Job, job_cache_parts
@@ -58,35 +59,6 @@ __all__ = [
 #: Exit code when a graceful drain could not finish inside
 #: ``drain_grace_s`` — unfinished jobs stay journaled for recovery.
 EXIT_DRAIN_TIMEOUT = 4
-
-#: Default per-kind budget/simulation parameters for submitted jobs,
-#: mirroring :func:`repro.runner.jobs.default_jobs`.
-_BATTERY_DEFAULTS = {
-    "seeds": 2,
-    "steps": 40,
-    "seed": 0,
-    "max_states": 200_000,
-    "max_steps": 2_000_000,
-    "wall_time": 60.0,
-}
-
-#: Request params a client may set, per kind; anything else is a 400
-#: (admission control includes not letting clients smuggle arbitrary
-#: knobs across the process boundary).
-_ALLOWED_PARAMS = {
-    "check": {"seeds", "steps", "seed", "max_states", "max_steps", "wall_time"},
-    "perturb": {
-        "seeds", "steps", "seed", "epsilon", "max_states", "max_steps", "wall_time",
-    },
-    "lint": {"strict", "max_states"},
-    "analyze": {"strict"},
-    "fuzz": {"count", "seed", "start"},
-}
-
-#: Hard ceiling on a single submitted fuzz shard: differential fuzzing
-#: costs ~1–2 s per instance, and a service request must stay within a
-#: worker timeout, not monopolise the pool.
-_FUZZ_COUNT_CAP = 500
 
 
 @dataclass
@@ -120,57 +92,17 @@ class ServeConfig:
         }
 
 
-def _system_registry() -> Dict[str, List[str]]:
-    """kind -> known systems, the submit-time admission whitelist."""
-    from repro.analyze import analyze_names
-    from repro.faults.targets import perturb_names
-    from repro.lint.targets import system_names as lint_names
-    from repro.runner.jobs import FUZZ_SYSTEM
-
-    return {
-        "lint": list(lint_names()),
-        "analyze": list(analyze_names()),
-        "check": list(perturb_names()),
-        "perturb": list(perturb_names()),
-        "fuzz": [FUZZ_SYSTEM],
-    }
-
-
-#: Kinds that also admit ``gen:``-namespace systems (parametric
-#: generated instances).  Fuzz shards have their own fixed registry.
-_GEN_KINDS = frozenset({"lint", "analyze", "check", "perturb"})
-
-
-def _admit_gen(kind: str, system: Any) -> bool:
-    """Whitelist check for generated-system names: the name must parse
-    (family known, parameters in range, instance feasible) and the kind
-    must apply to generated instances."""
-    from repro.gen import is_gen_name, parse
-
-    if kind not in _GEN_KINDS or not isinstance(system, str):
-        return False
-    if not is_gen_name(system):
-        return False
-    try:
-        parse(system)
-    except ReproError as exc:
-        raise RequestError(str(exc))
-    return True
-
-
 class RequestError(ReproError):
     """A client request the daemon refuses (maps to HTTP 400)."""
 
 
-def _require_int(body: Dict[str, Any], name: str, minimum: int) -> Optional[int]:
+def _envelope_value(body: Dict[str, Any], name: str, validate) -> Any:
+    """An optional envelope field through its catalog validator."""
     value = body.get(name)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise RequestError(
-            "{} must be an integer >= {}, got {!r}".format(name, minimum, value)
-        )
-    return value
+    try:
+        return None if value is None else validate(value)
+    except ValueError as exc:
+        raise RequestError("{}: {}".format(name, exc))
 
 
 class VerificationService:
@@ -187,7 +119,6 @@ class VerificationService:
             cooldown_s=config.breaker_cooldown_s,
         )
         self.cache = backend_cache(config.backend)
-        self.registry = _system_registry()
         self.jobs: Dict[str, ServeJob] = {}
         self._jobs_lock = threading.Lock()
         self.pool = WorkerPool(
@@ -290,48 +221,15 @@ class VerificationService:
             raise RequestError(
                 "unknown kind {!r}; expected one of {}".format(kind, ", ".join(JOB_KINDS))
             )
-        system = body.get("system")
-        known = self.registry[kind]
-        if system not in known and not _admit_gen(kind, system):
-            raise RequestError(
-                "unknown system {!r} for kind {!r}; known: {}".format(
-                    system, kind, ", ".join(known)
-                )
-            )
+        spec = KIND_SPECS[kind]
         raw = body.get("params") or {}
         if not isinstance(raw, dict):
             raise RequestError("params must be an object")
-        unknown = set(raw) - _ALLOWED_PARAMS[kind]
-        if unknown:
-            raise RequestError(
-                "unknown param(s) for {}: {}".format(kind, ", ".join(sorted(unknown)))
-            )
-        if kind in ("check", "perturb"):
-            params: Dict[str, Any] = dict(_BATTERY_DEFAULTS)
-            params.update(raw)
-            params.setdefault("epsilon", "0")
-            params["epsilon"] = str(params["epsilon"])
-        elif kind == "fuzz":
-            count = raw.get("count", 100)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise RequestError(
-                    "count must be a positive integer, got {!r}".format(count)
-                )
-            if count > _FUZZ_COUNT_CAP:
-                raise RequestError(
-                    "count {} exceeds the per-request cap of {}".format(
-                        count, _FUZZ_COUNT_CAP
-                    )
-                )
-            params = {
-                "count": count,
-                "seed": int(raw.get("seed", 0)),
-                "start": int(raw.get("start", 0)),
-            }
-        else:
-            params = {"strict": bool(raw.get("strict", False))}
-            if "max_states" in raw:
-                params["max_states"] = int(raw["max_states"])
+        try:
+            system = spec.admit_system(body.get("system"))
+            params = spec.admit(raw)
+        except (ValueError, ReproError) as exc:
+            raise RequestError("{}: {}".format(kind, exc))
         # The serving layer owns caching (one backend, parent-side
         # lookups/stores); workers must not consult their own.
         params["cache"] = False
@@ -345,13 +243,10 @@ class VerificationService:
             params=params,
             chaos=chaos,
         )
+        max_retries = _envelope_value(body, "max_retries", nonneg_int)
         envelope = {
-            "deadline_ms": _require_int(body, "deadline_ms", 1),
-            "max_retries": (
-                _require_int(body, "max_retries", 0)
-                if body.get("max_retries") is not None
-                else self.config.max_retries
-            ),
+            "deadline_ms": _envelope_value(body, "deadline_ms", positive_int),
+            "max_retries": self.config.max_retries if max_retries is None else max_retries,
         }
         return job, envelope
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from repro.obs.instrument import Recorder
@@ -146,8 +147,9 @@ class WorkerPool:
     inline in the worker thread — fast, but hangs are only contained by
     in-job budgets, so it is for tests and benchmarks.
 
-    ``on_done(serve_job)`` fires after a job settles (journal written),
-    letting the service layer store warm-cache entries and wake pollers.
+    ``on_done(serve_job)`` fires when a job settles, just before its
+    journal ``done`` record, letting the service layer store warm-cache
+    entries and wake pollers.
     """
 
     def __init__(
@@ -247,7 +249,7 @@ class WorkerPool:
                 params = body["params"]
                 cap = params.get("wall_time")
                 window = max(_MIN_WINDOW_S, remaining * 0.9)
-                params["wall_time"] = window if cap is None else min(float(cap), window)
+                params["wall_time"] = window if cap is None else min(float(Fraction(cap)), window)
             started = time.perf_counter()
             if self.isolation:
                 payload, timed_out = run_isolated(body, state.attempt, watchdog)
@@ -314,17 +316,18 @@ class WorkerPool:
 
     def _finish(self, job: ServeJob, result: Dict[str, Any]) -> None:
         job.result = result
+        if self.on_done is not None:
+            # Before the journal's ``done`` and the state flip: a job
+            # killed in between is replayed and stored again, and a
+            # poller never sees "done" and warm-misses.
+            try:
+                self.on_done(job)
+            except Exception:
+                self.recorder.incr("serve.on_done_errors")
         self.journal.done(job.job.job_id, result)
         self.recorder.incr("serve.completed")
         latency = time.monotonic() - job.submitted_at
         self.recorder.merge(
             {"timers": {"serve.job": {"total_s": latency, "calls": 1}}}
         )
-        if self.on_done is not None:
-            # Before the state flip: a poller must not observe "done"
-            # and warm-miss because the cache store hasn't landed yet.
-            try:
-                self.on_done(job)
-            except Exception:
-                self.recorder.incr("serve.on_done_errors")
         job.state = "done"

@@ -75,14 +75,16 @@ class TestAnalyzeCache:
     def test_cache_key_carries_ruleset_version(self, warm_cache_env):
         # The rule set keys the entry through the analyze closure
         # fingerprint, which hashes every rule module; the entry's own
-        # parts are empty for a shipped system.
+        # parts hold only the marker of a CLI report entry.
         from repro.cache import default_cache
         from repro.cache.fingerprint import dependency_closure
 
         assert main(["analyze", "rm"]) == 0
         cache = default_cache()
-        assert cache.lookup("analyze", "rm", {})
-        assert cache.lookup("analyze", "rm", {"ruleset": "R999:99:e99"}) is None
+        assert cache.lookup("analyze", "rm", {"payload": "report"})
+        assert cache.lookup(
+            "analyze", "rm", {"payload": "report", "ruleset": "R999:99:e99"}
+        ) is None
         closure = dependency_closure("analyze", "rm")
         assert "repro.lint.rules" in closure
         assert "repro.analyze.interference" in closure
@@ -94,7 +96,9 @@ class TestAnalyzeCache:
 
         assert main(["lint", "rm"]) == 0
         cache = default_cache()
-        assert cache.lookup("lint", "rm", {"max_states": DEFAULT_MAX_STATES})
+        assert cache.lookup(
+            "lint", "rm", {"max_states": DEFAULT_MAX_STATES, "payload": "report"}
+        )
         closure = dependency_closure("lint", "rm")
         assert "repro.lint.rules" in closure
         assert "repro.analyze.interference" in closure

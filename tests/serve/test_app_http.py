@@ -111,6 +111,19 @@ def test_bad_body_400(daemon):
     for kind in ("zap", "bench"):
         status, body, _ = request("POST", "/v1/jobs", {"kind": kind, "system": "rm"})
         assert status == 400
+    # A malformed param value is a 400 with a reason, not a dropped
+    # connection or a worker that fails later.
+    for kind, system, params in (
+        ("check", "rm", {"seeds": "x"}),
+        ("fuzz", "gen", {"seed": "abc"}),
+        # Too big to be a seed count: refused before any bigint work.
+        ("check", "rm", {"seeds": "1e999999999"}),
+    ):
+        status, body, _ = request(
+            "POST", "/v1/jobs", {"kind": kind, "system": system, "params": params}
+        )
+        assert status == 400
+        assert "seed" in body["error"]
     # Non-object JSON
     req = urllib.request.Request(
         request.base + "/v1/jobs", data=b"[1, 2]", method="POST"

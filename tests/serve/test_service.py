@@ -71,12 +71,40 @@ def test_unknown_job_is_none(service):
         ({"kind": "analyze", "system": "rm", "chaos": "gremlins"}, "chaos"),
         # The retired perf-trajectory runner is no longer a job kind.
         ({"kind": "bench", "system": "rm"}, "unknown kind"),
+        # Param *values* go through the kind's spec validators too, so
+        # no malformed job is journaled or spawns a worker.
+        ({"kind": "check", "system": "rm", "params": {"seeds": "x"}}, "seeds"),
+        ({"kind": "check", "system": "rm", "params": {"seeds": -3, "steps": 1.5}}, "seeds"),
+        ({"kind": "check", "system": "rm", "params": {"steps": 1.5}}, "steps"),
+        ({"kind": "check", "system": "rm", "params": {"wall_time": "soon"}}, "wall_time"),
+        ({"kind": "check", "system": "rm", "params": {"wall_time": 0}}, "wall_time"),
+        ({"kind": "perturb", "system": "rm", "params": {"epsilon": "banana"}}, "epsilon"),
+        ({"kind": "perturb", "system": "rm", "params": {"epsilon": -1}}, "epsilon"),
+        ({"kind": "fuzz", "system": "gen", "params": {"start": -5}}, "start"),
+        ({"kind": "fuzz", "system": "gen", "params": {"seed": "abc"}}, "seed"),
+        ({"kind": "fuzz", "system": "gen", "params": {"count": 501}}, "cap"),
+        ({"kind": "fuzz", "system": "gen", "params": {"count": True}}, "count"),
+        ({"kind": "lint", "system": "rm", "params": {"max_states": -1}}, "max_states"),
+        ({"kind": "lint", "system": "rm", "params": {"max_states": "many"}}, "max_states"),
+        ({"kind": "analyze", "system": "rm", "params": {"strict": "yes"}}, "strict"),
+        # Huge spellings are refused at once: no bigint power is built,
+        # and no over-long int reaches the cache key's JSON.
+        ({"kind": "check", "system": "rm", "params": {"seeds": "1e5000"}}, "seeds"),
+        ({"kind": "check", "system": "rm", "params": {"seeds": "1e999999999"}}, "seeds"),
+        ({"kind": "check", "system": "rm", "params": {"max_steps": 10**4000}}, "max_steps"),
+        ({"kind": "perturb", "system": "rm", "params": {"epsilon": "1e-999999999"}}, "epsilon"),
+        ({"kind": "analyze", "system": "rm", "deadline_ms": "1e999999999"}, "deadline_ms"),
+        ({"kind": "analyze", "system": "rm", "max_retries": "1e5000"}, "max_retries"),
+        # Generated names: only where the kind applies, only when valid.
+        ({"kind": "fuzz", "system": "gen:fischer-3"}, "unknown system"),
+        ({"kind": "lint", "system": "gen:fischer-99"}, "outside the feasible range"),
     ],
 )
 def test_bad_requests_are_400(service, body, fragment):
     status, payload = service.submit(body)
     assert status == 400
     assert fragment in payload["error"]
+    assert service.jobs == {}  # nothing journaled, nothing queued
 
 
 def test_warm_resubmit_is_a_cache_hit(service):

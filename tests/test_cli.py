@@ -137,9 +137,9 @@ class TestPerturbExitCodeConvention:
     def test_unexpected_broken_system_fails_search_mode(self, capsys, monkeypatch):
         # Strip fischer-tight of its "deliberately broken" registration:
         # an *unexpected* BROKEN verdict must flip the exit code.
-        import repro.faults.targets as targets
+        from repro import catalog
 
-        monkeypatch.setattr(targets, "_EXPECTED_BROKEN", frozenset())
+        monkeypatch.setattr(catalog, "EXPECTED_BROKEN", ())
         assert main(["perturb", "fischer-tight", "--search", "--json"]) == 1
 
     def test_epsilon_mode_reports_the_raw_verdict(self, capsys):
@@ -191,9 +191,9 @@ class TestRunCommand:
         assert payload["jobs"][0]["status"] == "expected-failure"
 
     def test_unexpected_verdict_failure_exits_one(self, capsys, tmp_path, monkeypatch):
-        import repro.runner.jobs as jobs_mod
+        from repro import catalog
 
-        monkeypatch.setattr(jobs_mod, "_EXPECTED_FAILURES", set())
+        monkeypatch.setattr(catalog, "EXPECTED_BROKEN", ())
         ledger = str(tmp_path / "fail.jsonl")
         assert main(
             ["run", "fischer-tight", "--kinds", "check", "--workers", "0",

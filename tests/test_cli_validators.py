@@ -43,6 +43,26 @@ from repro.cli import main
         ["run", "rm", "--heartbeat-ms", "-100"],
         ["dist", "worker", "--port", "-1"],
         ["dist", "worker", "--port", "http"],
+        # the proof battery's sampling and budget, typed by the spec
+        ["check", "fischer", "--seeds", "-2", "--steps", "-5"],
+        ["check", "fischer", "--seeds", "0"],
+        ["check", "fischer", "--steps", "1.5"],
+        ["check", "fischer", "--max-states", "0"],
+        ["check", "fischer", "--max-steps", "many"],
+        ["check", "fischer", "--wall-time", "0"],
+        ["perturb", "rm", "--seeds", "-1"],
+        ["perturb", "rm", "--steps", "0"],
+        ["perturb", "rm", "--max-states", "-1"],
+        ["perturb", "rm", "--epsilon", "-1/8"],
+        ["perturb", "rm", "--epsilon", "banana"],
+        ["run", "rm", "--seeds", "-2"],
+        ["run", "rm", "--steps", "-5"],
+        ["run", "rm", "--max-states", "0"],
+        ["run", "rm", "--max-steps", "x"],
+        ["run", "rm", "--wall-time", "soon"],
+        ["run", "rm", "--epsilon", "-1"],
+        ["run", "rm", "--fuzz-count", "0"],
+        ["lint", "rm", "--max-states", "-1"],
     ],
 )
 def test_nonsense_numerics_exit_2(capsys, argv):

@@ -179,20 +179,3 @@ def test_safety_counterexamples_identical(params, expect_violation, monkeypatch)
     assert bool(flat) == bool(reference) == expect_violation
     assert flat.state == reference.state
     assert flat.nodes == reference.nodes
-
-
-def test_untimed_fischer_counts_anchor():
-    """The construction-predicted untimed reachable-state counts
-    (28/152/752, pinned per family in tests/gen/test_families.py) still
-    hold — they are computed by the untimed explorer and must be
-    untouched by the zone rewrite."""
-    from repro.ioa.explorer import explore
-
-    for spec, want in [
-        ("gen:fischer-2", 28),
-        ("gen:fischer-3", 152),
-        ("gen:fischer-4", 752),
-    ]:
-        bundle = build_bundle(spec)
-        result = explore(bundle.timed().automaton, max_states=bundle.max_states)
-        assert len(result.reachable) == want, spec
