@@ -17,7 +17,8 @@ must contain the predicted breaking point:
 from fractions import Fraction as F
 
 from repro.analysis.report import Table
-from repro.faults import Budget, build_perturb_target, perturb_names
+from repro.catalog import SURFACE_SYSTEMS
+from repro.faults import Budget, build_perturb_target
 
 from conftest import emit
 
@@ -58,7 +59,7 @@ def test_e17_tolerance_matches_theory(benchmark):
         ["system", "direction", "predicted eps*", "measured", "probes"],
     )
     reports = {}
-    for name in perturb_names():
+    for name in SURFACE_SYSTEMS:
         report = search(name)
         reports[name] = report
         predicted = PREDICTED[name]

@@ -27,7 +27,6 @@ from repro.analyze.driver import (
     ANALYZE_SCHEMA_VERSION,
     AnalyzeReport,
     analyze_all,
-    analyze_names,
     analyze_system,
     lookup_static_mapping,
     record_proved_mappings,
@@ -39,7 +38,6 @@ from repro.analyze.obligations import (
     Verdict,
     discharge_all,
     discharge_system,
-    obligation_systems,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "ObligationResult",
     "Verdict",
     "analyze_all",
-    "analyze_names",
     "analyze_system",
     "closed_form_tolerance",
     "const",
@@ -70,7 +67,6 @@ __all__ = [
     "lookup_static_mapping",
     "lt",
     "negate",
-    "obligation_systems",
     "record_proved_mappings",
     "var",
 ]

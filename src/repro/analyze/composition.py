@@ -66,27 +66,9 @@ def _fold(intervals) -> Interval:
 def derived_bounds(name: str) -> List[DerivedBound]:
     """All closed-form bounds derivable for one system, each paired
     with the declared bound it must reproduce."""
-    from repro.gen.names import is_gen_name
-    from repro.par.surface import build_system
+    from repro.surface import bundle
 
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).bounds()
-    system = build_system(name)
-    if name == "rm":
-        return _rm_bounds(name, system)
-    if name == "relay":
-        return _relay_bounds(name, system)
-    if name == "chain":
-        return _chain_bounds(name, system)
-    if name in ("fischer", "fischer-tight"):
-        return _fischer_bounds(name, system)
-    if name == "peterson":
-        return _peterson_bounds(name, system)
-    if name == "tournament":
-        return _tournament_bounds(name, system)
-    raise AnalyzeError("no derived bounds registered for {!r}".format(name))
+    return list(bundle(name).bounds())
 
 
 def _rm_bounds(name: str, system) -> List[DerivedBound]:
@@ -242,31 +224,6 @@ def closed_form_tolerance(name: str) -> Optional[Fraction]:
     """The closed-form perturbation tolerance ``(hi − lo)/(hi + lo)``
     of the system's critical interval, or ``None`` when the system's
     safety does not reduce to a single interval ratio."""
-    from repro.gen.names import is_gen_name
-    from repro.par.surface import build_system
+    from repro.surface import bundle
 
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).tolerance
-    system = build_system(name)
-    if name == "rm":
-        p = system.params
-        return _ratio(p.c1, p.c2)
-    if name == "relay":
-        p = system.params
-        return _ratio(p.d1, p.d2)
-    if name == "chain":
-        return min(_ratio(s.lo, s.hi) for s in system.stages)
-    if name == "fischer":
-        return _ratio(system.a, system.b)
-    if name == "fischer-tight":
-        return Fraction(0)
-    return None
-
-
-def _ratio(lo, hi) -> Fraction:
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo + hi == 0:
-        return Fraction(0)
-    return (hi - lo) / (hi + lo)
+    return bundle(name).tolerance

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import catalog
 from repro.obs import instrument as _telemetry
@@ -27,16 +27,10 @@ from repro.lint.diagnostics import LintReport
 from repro.lint.driver import _apply_waivers, _run
 from repro.analyze.composition import DerivedBound, closed_form_tolerance, derived_bounds
 from repro.analyze.interference import InterferenceContext
-from repro.analyze.obligations import (
-    ObligationResult,
-    Verdict,
-    discharge_system,
-    obligation_systems,
-)
+from repro.analyze.obligations import ObligationResult, Verdict, discharge_system
 
 __all__ = [
     "AnalyzeReport",
-    "analyze_names",
     "analyze_system",
     "analyze_all",
     "record_proved_mappings",
@@ -45,39 +39,6 @@ __all__ = [
 ]
 
 ANALYZE_SCHEMA_VERSION = 1
-
-#: Interference waivers, same shape as SystemTarget waivers: known,
-#: deliberate modelling choices that must not fail a strict gate.
-_WAIVERS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    # Sequential pipeline stages legitimately meet at their boundary
-    # (stage k's latest completion equals stage k+1's earliest): not a
-    # race, the stages are never co-enabled.
-    "chain": (("R018", "'EVENT_1'"),),
-}
-
-
-def _requirement_conditions(name: str, system) -> Tuple[object, ...]:
-    from repro.gen.names import is_gen_name
-
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).requirements()
-    if name == "rm":
-        return (system.g1, system.g2)
-    if name in ("relay", "chain"):
-        return (system.requirement,)
-    return ()
-
-
-def _interference_waivers(name: str) -> Tuple[Tuple[str, str], ...]:
-    from repro.gen.names import is_gen_name
-
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).analyze_waivers
-    return _WAIVERS.get(name, ())
 
 
 @dataclass
@@ -219,16 +180,12 @@ class AnalyzeReport:
         return "\n".join(lines)
 
 
-def analyze_names() -> Tuple[str, ...]:
-    """The systems the analyzer covers (the verification surface)."""
-    return obligation_systems()
-
-
 def analyze_system(name: str) -> AnalyzeReport:
     """Run all three static passes over one system."""
-    from repro.par.surface import build_system, build_timed
+    from repro.surface import bundle
 
     started = time.perf_counter()
+    system = bundle(name)
     with _telemetry.span("analyze.discharge"):
         obligations = discharge_system(name)
     for result in obligations:
@@ -236,15 +193,14 @@ def analyze_system(name: str) -> AnalyzeReport:
         _telemetry.incr("analyze." + result.verdict.value.lower())
 
     bounds = derived_bounds(name)
-    system = build_system(name)
     ctx = InterferenceContext(
         name=name,
-        timed=build_timed(name),
-        requirements=_requirement_conditions(name, system),
+        timed=system.timed(),
+        requirements=system.requirements(),
         bounds=tuple(bounds),
     )
     with _telemetry.span("analyze.interference"):
-        report = _apply_waivers(_run("interference", ctx), _interference_waivers(name))
+        report = _apply_waivers(_run("interference", ctx), system.analyze_waivers)
     _telemetry.incr("analyze.findings", len(report))
 
     return AnalyzeReport(
@@ -259,7 +215,7 @@ def analyze_system(name: str) -> AnalyzeReport:
 
 
 def analyze_all() -> List[AnalyzeReport]:
-    return [analyze_system(name) for name in analyze_names()]
+    return [analyze_system(name) for name in catalog.SURFACE_SYSTEMS]
 
 
 # ----------------------------------------------------------------------

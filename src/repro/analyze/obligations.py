@@ -45,7 +45,6 @@ __all__ = [
     "ObligationResult",
     "discharge_system",
     "discharge_all",
-    "obligation_systems",
 ]
 
 
@@ -870,41 +869,19 @@ def _tournament_entry_upper(system_name: str, params) -> ObligationResult:
 
 
 # ----------------------------------------------------------------------
-# Per-system dispatch
+# Per-system entry points: the facts live on each system's bundle
 # ----------------------------------------------------------------------
-
-
-def obligation_systems() -> Tuple[str, ...]:
-    from repro.par.surface import surface_names
-
-    return surface_names()
 
 
 def discharge_system(name: str) -> List[ObligationResult]:
     """All obligations of one shipped or generated system, discharged
     statically."""
-    from repro.gen.names import is_gen_name
-    from repro.par.surface import build_system
+    from repro.surface import bundle
 
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).obligations()
-    system = build_system(name)
-    if name == "rm":
-        return _rm_obligations(name, "rm", system)
-    if name == "relay":
-        return _relay_obligations(name, system)
-    if name == "chain":
-        return _chain_obligations(name, system)
-    if name in ("fischer", "fischer-tight"):
-        return [_fischer_obligation(name, system)]
-    if name == "peterson":
-        return [_peterson_obligation(name, system)]
-    if name == "tournament":
-        return _tournament_obligations(name, system)
-    raise AnalyzeError("no static obligations registered for {!r}".format(name))
+    return list(bundle(name).obligations())
 
 
 def discharge_all() -> Dict[str, List[ObligationResult]]:
-    return {name: discharge_system(name) for name in obligation_systems()}
+    from repro.catalog import SURFACE_SYSTEMS
+
+    return {name: discharge_system(name) for name in SURFACE_SYSTEMS}

@@ -13,10 +13,9 @@ or ``repro.zones.dbm`` still does.
 
 Three properties keep this sound:
 
-* **Name-level resolution through the systems package.**  Registry
-  modules (``repro.par.surface``, ``repro.lint.targets``, …) import
-  *every* system, which at module granularity would weld all systems
-  together.  Imports into ``repro.systems``'s package ``__init__``\\ s
+* **Name-level resolution through the systems package.**  The system
+  table (:mod:`repro.surface`) imports *every* system, which at module
+  granularity would weld all systems together.  Imports into ``repro.systems``'s package ``__init__``\\ s
   are resolved per-name to the defining submodule, and edges into
   system modules are then admitted only for the system under test
   (plus its genuine intra-``systems`` dependencies, which are followed
@@ -72,11 +71,12 @@ KIND_ROOTS: Dict[str, Tuple[str, ...]] = {
     # Every module that registers a rule keys the rule-backed kinds, so
     # a new or edited rule invalidates their verdicts; the interference
     # rules (R015+) live in ``analyze`` but share the lint registry.
-    "lint": ("lint", "analyze.interference"),
-    "analyze": ("analyze",),
-    "analyze-mapping": ("analyze",),
-    "check": ("analyze", "core", "faults", "ioa", "par.surface"),
-    "perturb": ("faults",),
+    # ``surface`` declares every system's canonical build and facts.
+    "lint": ("lint", "analyze.interference", "surface"),
+    "analyze": ("analyze", "surface"),
+    "analyze-mapping": ("analyze", "surface"),
+    "check": ("analyze", "core", "faults", "ioa", "surface"),
+    "perturb": ("faults", "surface"),
     "fuzz": ("gen",),
 }
 

@@ -3,10 +3,10 @@
 ``repro --help`` and a warm verdict-cache hit must not import the
 engines, yet the argument parser needs every subcommand's choices and
 defaults.  This stdlib-only module is their single declaration; the
-modules that own each name (the builder registries, ``faults.perturb``,
-``runner.jobs``, ``lint.driver``) import it from here,
-and ``tests/test_catalog.py`` pins every registry's keys to its entry
-below, in order.
+modules that own each name (the system table :mod:`repro.surface`,
+``faults.perturb``, ``runner.jobs``, ``lint.driver``) import it from
+here, and ``tests/test_catalog.py`` pins the system table's keys to
+the entries below.
 
 :data:`KIND_SPECS` declares each campaign job kind: its params with
 their defaults and validators, and the systems it accepts.
@@ -39,14 +39,15 @@ __all__ = [
     "boolean",
     "exact",
     "integer",
+    "key_parts",
     "nonneg_fraction",
     "nonneg_int",
     "positive_fraction",
     "positive_int",
 ]
 
-#: Shipped systems with a lint target (``repro.lint.targets``), in CLI
-#: order.
+#: Shipped systems ``lint`` accepts, in CLI order; each has its entry in
+#: the system table (``repro.surface``).
 LINT_SYSTEMS = (
     "rm",
     "relay",
@@ -59,9 +60,8 @@ LINT_SYSTEMS = (
 )
 
 #: The verification surface: the shipped systems ``check``, ``analyze``,
-#: ``perturb`` and ``trace`` accept (``repro.par.surface``,
-#: ``repro.analyze.obligations``, ``repro.faults.targets``,
-#: ``repro.obs.tracing``), in registry order.
+#: ``perturb`` and ``trace`` accept, in the order of the system table
+#: (``repro.surface``).
 SURFACE_SYSTEMS = (
     "rm",
     "relay",
@@ -103,6 +103,23 @@ FUZZ_COUNT_CAP = 500
 
 #: Default cap on bounded exploration per linted automaton.
 LINT_MAX_STATES = 2000
+
+
+def key_parts(system: str) -> Dict[str, Any]:
+    """The verdict-cache key parts a system's name adds to its source
+    closure.  A generated system has no source file of its own, so it
+    keys on ``(family, params, GEN_VERSION)``, and the fuzz campaign's
+    synthetic system on ``GEN_VERSION``: bumping the generator orphans
+    their verdicts.  A shipped system adds none."""
+    if system.startswith(GEN_PREFIX):
+        from repro.gen.names import cache_parts
+
+        return cache_parts(system)
+    if system == FUZZ_SYSTEM:
+        from repro.gen.names import GEN_VERSION
+
+        return {"gen_version": GEN_VERSION}
+    return {}
 
 
 # ----------------------------------------------------------------------

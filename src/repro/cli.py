@@ -83,17 +83,6 @@ def _gen_aware_system(kind: str):
     return validate
 
 
-def _with_gen_parts(name: str, parts: dict) -> dict:
-    """Fold (family, params, GEN_VERSION) into a verdict-cache key for
-    generated systems: bumping the generator must orphan their verdicts
-    even when the package source is otherwise untouched."""
-    if name.startswith(catalog.GEN_PREFIX):
-        from repro.gen import cache_parts
-
-        parts.update(cache_parts(name))
-    return parts
-
-
 def _rm_params(args):
     from repro.systems import ResourceManagerParams
 
@@ -400,26 +389,28 @@ def cmd_peterson(args) -> int:
     return 0 if (bad is None and agree and not violations) else 1
 
 
-def _verdict_command(args, kind, entry_of, failed, render) -> int:
-    """The ``lint``/``analyze``/``check`` loop: per system, answer from
-    the verdict cache or compute ``entry_of(name, args, cache)`` and
-    store it; then print the entries as JSON or through ``render``, and
-    exit 1 when ``failed(entry, args)`` holds for any of them."""
+def _verdict_command(args, kind, entry_of, failed, render, **extra) -> int:
+    """The ``lint``/``analyze``/``check``/``perturb --epsilon`` loop:
+    per system, answer from the verdict cache or compute
+    ``entry_of(name, args, cache)`` and store it; then print the entries
+    as JSON or through ``render``, and exit 1 when ``failed(entry,
+    args)`` holds for any of them."""
     names = list(catalog.KIND_SPECS[kind].systems) if args.system == "all" else [args.system]
     cache = _cli_cache(args)
     # The key parts are the kind's spec params as this command set them,
-    # minus ``strict``: an entry records both strictness verdicts.  The
-    # ``payload`` part keeps these report entries apart from the verdict
-    # payloads that campaign and served jobs of the same kind store.
+    # minus ``strict`` (an entry records both strictness verdicts), plus
+    # the ``extra`` options the command adds.  The ``payload`` part
+    # keeps these report entries apart from the verdict payloads that
+    # campaign and served jobs of the same kind store.
     base = {
         param: getattr(args, param)
         for param in catalog.KIND_SPECS[kind].params
         if param != "strict"
     }
-    base["payload"] = "report"
+    base.update(extra, payload="report")
     entries = []
     for name in names:
-        parts = _with_gen_parts(name, dict(base))
+        parts = dict(base, **catalog.key_parts(name))
         entry = None if cache is None else cache.lookup(kind, name, parts)
         cached = entry is not None
         if entry is None:
@@ -525,87 +516,86 @@ def _perturb_budget_factory(args):
     return factory
 
 
-def cmd_perturb(args) -> int:
-    from repro.faults import build_perturb_target, perturb_names
+def _perturb_target(name: str, args):
+    from repro.faults import build_perturb_target
 
-    names = list(perturb_names()) if args.system == "all" else [args.system]
-    factory = _perturb_budget_factory(args)
-    cache = _cli_cache(args)
-    payload = []
-    failed = False
-    for name in names:
-        target = build_perturb_target(
-            name,
-            direction=args.direction,
-            mode=args.mode,
-            seeds=args.seeds,
-            steps=args.steps,
-            seed=args.seed,
+    return build_perturb_target(
+        name,
+        direction=args.direction,
+        mode=args.mode,
+        seeds=args.seeds,
+        steps=args.steps,
+        seed=args.seed,
+    )
+
+
+def _probe_entry(name: str, args, cache) -> dict:
+    """Probe one system at ``--epsilon``: the cache entry a miss computes."""
+    target = _perturb_target(name, args)
+    outcome = target.evaluate(Fraction(args.epsilon), _perturb_budget_factory(args)())
+    return {
+        "system": name,
+        "direction": target.direction,
+        "mode": target.mode,
+        "epsilon": args.epsilon,
+        "ok": outcome.ok,
+        "conclusive": outcome.conclusive,
+        "steps_checked": outcome.steps_checked,
+        "exhausted_budget": outcome.exhausted_budget,
+        "detail": outcome.detail,
+    }
+
+
+def _render_probes(entries) -> None:
+    for entry in entries:
+        verdict = "ok" if entry["ok"] else "FAIL"
+        if entry["exhausted_budget"]:
+            verdict += " (budget exhausted: partial)"
+        if entry["cached"]:
+            verdict += " (cached)"
+        print(
+            "{} [{} {} eps={}]: {} {}".format(
+                entry["system"],
+                entry["direction"],
+                entry["mode"],
+                entry["epsilon"],
+                verdict,
+                entry["detail"],
+            ).rstrip()
         )
-        if args.epsilon is not None:
-            parts = _with_gen_parts(name, target.cache_parts())
-            parts.update(
-                epsilon=args.epsilon,
-                max_states=args.max_states,
-                max_steps=args.max_steps,
-                wall_time=args.wall_time,
-            )
-            entry = None if cache is None else cache.lookup("perturb", name, parts)
-            cached = entry is not None
-            if entry is None:
-                outcome = target.evaluate(Fraction(args.epsilon), factory())
-                entry = {
-                    "system": name,
-                    "direction": target.direction,
-                    "mode": target.mode,
-                    "epsilon": args.epsilon,
-                    "ok": outcome.ok,
-                    "conclusive": outcome.conclusive,
-                    "steps_checked": outcome.steps_checked,
-                    "exhausted_budget": outcome.exhausted_budget,
-                    "detail": outcome.detail,
-                }
-                if cache is not None and entry["conclusive"]:
-                    cache.store("perturb", name, parts, entry)
-            entry = dict(entry, cached=cached)
-            failed = failed or not entry["ok"]
-            payload.append(entry)
-            if not args.json:
-                verdict = "ok" if entry["ok"] else "FAIL"
-                if entry["exhausted_budget"]:
-                    verdict += " (budget exhausted: partial)"
-                if cached:
-                    verdict += " (cached)"
-                print(
-                    "{} [{} {} eps={}]: {} {}".format(
-                        name,
-                        target.direction,
-                        target.mode,
-                        args.epsilon,
-                        verdict,
-                        entry["detail"],
-                    ).rstrip()
-                )
-        else:
-            report = target.search(
-                resolution=args.resolution,
-                ceiling=args.ceiling,
-                budget_factory=factory,
-            )
-            failed = failed or (report.broken and not target.expected_broken)
-            payload.append(report.to_dict())
-            if not args.json:
-                print(report.render())
-    _print_cache_stats(cache)
-    if args.json:
-        import json as _json
 
-        print(_json.dumps(payload if args.system == "all" else payload[0], indent=2))
+
+def cmd_perturb(args) -> int:
     # Exit nonzero when *any* probed system fails: with an explicit
     # --epsilon the exit code reports the raw verdict; in search mode a
     # BROKEN nominal system fails unless it is expected_broken
     # (fischer-tight ships deliberately broken — that finding is the
     # point, not a failure).
+    if args.epsilon is not None:
+        # ``--direction``/``--mode`` key as given: ``None`` means the
+        # system's canonical stress, so no target is built to key a hit.
+        return _verdict_command(
+            args, "perturb", _probe_entry, lambda entry, args: not entry["ok"],
+            _render_probes, direction=args.direction, mode=args.mode,
+        )
+    names = list(catalog.SURFACE_SYSTEMS) if args.system == "all" else [args.system]
+    payload = []
+    failed = False
+    for name in names:
+        target = _perturb_target(name, args)
+        report = target.search(
+            resolution=args.resolution,
+            ceiling=args.ceiling,
+            budget_factory=_perturb_budget_factory(args),
+        )
+        failed = failed or (report.broken and not target.expected_broken)
+        payload.append(report.to_dict())
+        if not args.json:
+            print(report.render())
+    if args.json:
+        import json as _json
+
+        print(_json.dumps(payload if args.system == "all" else payload[0], indent=2))
     return 1 if failed else 0
 
 
@@ -738,7 +728,7 @@ def _check_entry(name: str, args, cache) -> dict:
     from repro.core.checker import check_mapping_exhaustive
     from repro.faults import build_perturb_target
     from repro.ioa.explorer import explore
-    from repro.par.surface import explore_automaton, mapping_specs
+    from repro.surface import explore_automaton, mapping_specs
 
     factory = _perturb_budget_factory(args)
     start = _time.perf_counter()

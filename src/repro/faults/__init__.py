@@ -42,7 +42,6 @@ from repro.faults.strategies import (
 from repro.faults.targets import (
     PerturbTarget,
     build_perturb_target,
-    perturb_names,
     probe_tolerance,
 )
 from repro.faults.tolerance import ToleranceReport, search_tolerance
@@ -62,7 +61,6 @@ __all__ = [
     "ToleranceReport",
     "search_tolerance",
     "PerturbTarget",
-    "perturb_names",
     "build_perturb_target",
     "probe_tolerance",
     "mapping_run_check",

@@ -1,6 +1,7 @@
 """Per-system perturbation harnesses.
 
-Each shipped system gets a :class:`PerturbTarget`: a canonical stress
+Each system's bundle (:mod:`repro.surface`) builds its
+:class:`PerturbTarget`: a canonical stress
 direction, a ceiling for the tolerance search, and an ``evaluate(ε,
 budget)`` that rebuilds the system under that much drift and folds all
 of its evidence — adversarially-scheduled simulation runs through the
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro import catalog
 from repro.core.checker import CheckOutcome
@@ -52,35 +53,14 @@ from repro.faults.strategies import (
 from repro.faults.tolerance import ToleranceReport, search_tolerance
 from repro.sim.scheduler import Simulator
 from repro.sim.strategies import UniformStrategy
-from repro.systems import (
-    GRANT,
-    SIGNAL,
-    RelayParams,
-    RelaySystem,
-    ResourceManagerParams,
-    ResourceManagerSystem,
-    relay_hierarchy,
-)
-from repro.systems.extensions import (
-    EVENT,
-    ChainSystem,
-    FischerParams,
-    PetersonParams,
-    TournamentParams,
-    both_critical,
-    fischer_system,
-    mutual_exclusion_violated,
-    peterson_system,
-    tournament_mutex_violated,
-    tournament_system,
-)
+from repro.surface import bundle
+from repro.systems import GRANT, SIGNAL, RelayParams, RelaySystem, relay_hierarchy
+from repro.systems.extensions import EVENT, ChainSystem
 from repro.systems.mappings_rm import resource_manager_mapping_over
-from repro.timed.boundmap import TimedAutomaton
 from repro.timed.interval import Interval
 
 __all__ = [
     "PerturbTarget",
-    "perturb_names",
     "build_perturb_target",
     "probe_tolerance",
 ]
@@ -106,27 +86,10 @@ class PerturbTarget:
     ceiling: Fraction
     evaluate: Evaluation
     expected_broken: bool = False
-    #: The adversarial-battery parameters the harness was built with —
-    #: part of the verdict-cache identity (see :meth:`cache_parts`).
+    #: The adversarial-battery parameters the harness was built with.
     seeds: int = 3
     steps: int = 80
     seed: int = 0
-
-    def cache_parts(self) -> Dict[str, object]:
-        """The canonical verdict-cache key parts of this harness.
-
-        Everything that changes what :attr:`evaluate` computes — stress
-        direction, drift mode, battery size, RNG seed — goes in; callers
-        merge in their own per-call parameters (ε, budget caps,
-        resolution) before handing the dict to the cache.
-        """
-        return {
-            "direction": self.direction,
-            "mode": self.mode,
-            "seeds": self.seeds,
-            "steps": self.steps,
-            "seed": self.seed,
-        }
 
     def search(
         self,
@@ -224,14 +187,13 @@ def _adversarial_runs(
 
 
 # ----------------------------------------------------------------------
-# Mapping systems: stressed by tightening
+# Mapping systems: stressed by tightening.  Each builder takes the
+# nominal system its bundle (:mod:`repro.surface`) built, then the
+# battery's (direction, mode, seeds, steps, seed).
 # ----------------------------------------------------------------------
 
 
-def _rm_builder(direction: str, mode: str, seeds: int, steps: int, seed: int):
-    nominal = ResourceManagerSystem(
-        ResourceManagerParams(k=3, c1=Fraction(2), c2=Fraction(3), l=Fraction(1))
-    )
+def _rm_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
     params = nominal.params
 
     def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
@@ -275,14 +237,15 @@ def _rm_builder(direction: str, mode: str, seeds: int, steps: int, seed: int):
         return _run_checks(checks, budget)
 
     description = (
-        "resource manager (k=3, c1=2, c2=3, l=1): Section 4.3 mapping, "
-        "Lemma 2.1, and zone bounds vs the nominal claims"
+        "resource manager (k={}, c1={}, c2={}, l={}): Section 4.3 mapping, "
+        "Lemma 2.1, and zone bounds vs the nominal claims".format(
+            params.k, params.c1, params.c2, params.l
+        )
     )
     return description, Fraction(1), evaluate
 
 
-def _relay_builder(direction: str, mode: str, seeds: int, steps: int, seed: int):
-    nominal = RelaySystem(RelayParams(n=3, d1=Fraction(1), d2=Fraction(2)))
+def _relay_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
     params = nominal.params
     claimed = params.end_to_end_interval
 
@@ -329,15 +292,15 @@ def _relay_builder(direction: str, mode: str, seeds: int, steps: int, seed: int)
         return _run_checks(checks, budget)
 
     description = (
-        "signal relay (n=3, d1=1, d2=2): Section 6 hierarchy chained "
-        "into the nominal requirements via a slack-refinement mapping"
+        "signal relay (n={}, d1={}, d2={}): Section 6 hierarchy chained "
+        "into the nominal requirements via a slack-refinement "
+        "mapping".format(params.n, params.d1, params.d2)
     )
     return description, Fraction(1), evaluate
 
 
-def _chain_builder(direction: str, mode: str, seeds: int, steps: int, seed: int):
-    stages = (Interval(1, 2), Interval(2, 3))
-    nominal = ChainSystem(list(stages))
+def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
+    stages = nominal.stages
     claimed = nominal.requirement.interval
 
     def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
@@ -380,8 +343,10 @@ def _chain_builder(direction: str, mode: str, seeds: int, steps: int, seed: int)
         return _run_checks(checks, budget)
 
     description = (
-        "heterogeneous chain (stages [1,2], [2,3]): Minkowski-sum "
-        "hierarchy chained into the nominal requirements"
+        "heterogeneous chain (stages {}): Minkowski-sum hierarchy chained "
+        "into the nominal requirements".format(
+            ", ".join("[{},{}]".format(s.lo, s.hi) for s in stages)
+        )
     )
     return description, Fraction(1), evaluate
 
@@ -391,98 +356,29 @@ def _chain_builder(direction: str, mode: str, seeds: int, steps: int, seed: int)
 # ----------------------------------------------------------------------
 
 
-def _safety_builder(
-    timed: TimedAutomaton,
-    predicate,
-    describe: str,
-    description: str,
-    max_nodes: int = 200_000,
-):
-    def builder(direction: str, mode: str, seeds: int, steps: int, seed: int):
-        def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
-            perturbed = (
-                timed
-                if eps == 0
-                else perturb_boundmap(
-                    timed, Drift(eps, mode=mode, direction=direction)
-                )
+def _safety_builder(system, direction: str, mode: str, seeds: int, steps: int, seed: int):
+    """A zone safety sweep of ``system``'s ``(A, b)`` for its
+    violation, after drifting the boundmap."""
+    timed = system.timed()
+    describe, predicate = system.violation
+
+    def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
+        perturbed = (
+            timed
+            if eps == 0
+            else perturb_boundmap(timed, Drift(eps, mode=mode, direction=direction))
+        )
+        checks = [
+            (
+                "zone safety sweep",
+                lambda: safety_check(
+                    perturbed, predicate, describe=describe, budget=budget, max_nodes=200_000
+                ),
             )
-            checks = [
-                (
-                    "zone safety sweep",
-                    lambda: safety_check(
-                        perturbed,
-                        predicate,
-                        describe=describe,
-                        budget=budget,
-                        max_nodes=max_nodes,
-                    ),
-                )
-            ]
-            return _run_checks(checks, budget)
+        ]
+        return _run_checks(checks, budget)
 
-        return description, Fraction(1), evaluate
-
-    return builder
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-#: name -> (builder, canonical direction). Builders take
-#: (direction, mode, seeds, steps, seed) and return (description,
-#: ceiling, evaluate).
-_BUILDERS: Dict[str, Tuple[Callable, str]] = {
-    "rm": (_rm_builder, "tighten"),
-    "relay": (_relay_builder, "tighten"),
-    "chain": (_chain_builder, "tighten"),
-    "fischer": (
-        _safety_builder(
-            fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(2))),
-            mutual_exclusion_violated,
-            "mutual exclusion violated",
-            "Fischer mutex (n=2, a=1, b=2): timed safety, breaks at "
-            "eps = (b-a)/(a+b)",
-        ),
-        "widen",
-    ),
-    "fischer-tight": (
-        _safety_builder(
-            fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(1))),
-            mutual_exclusion_violated,
-            "mutual exclusion violated",
-            "Fischer mutex with a = b (deliberately broken: safety "
-            "needs b > a, so the nominal checks already fail)",
-        ),
-        "widen",
-    ),
-    "peterson": (
-        _safety_builder(
-            peterson_system(PetersonParams(s1=Fraction(1), s2=Fraction(2))),
-            both_critical,
-            "both processes critical",
-            "Peterson mutex (s1=1, s2=2): untimed argument, tolerates "
-            "any drift (ceiling hit)",
-        ),
-        "widen",
-    ),
-    "tournament": (
-        _safety_builder(
-            tournament_system(TournamentParams(n=2, s1=Fraction(1), s2=Fraction(2))),
-            tournament_mutex_violated,
-            "two processes critical",
-            "tournament mutex (n=2, s1=1, s2=2): untimed argument, "
-            "tolerates any drift (ceiling hit)",
-        ),
-        "widen",
-    ),
-}
-
-
-def perturb_names() -> Tuple[str, ...]:
-    """Names accepted by :func:`build_perturb_target` (and the CLI)."""
-    return tuple(_BUILDERS)
+    return system.description, Fraction(1), evaluate
 
 
 def build_perturb_target(
@@ -496,42 +392,21 @@ def build_perturb_target(
     """Build one system's harness, optionally overriding the canonical
     stress direction or drift mode.  ``seed`` offsets every RNG in the
     adversarial battery for reproducible-but-independent reruns."""
-    from repro.gen.names import is_gen_name
-
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        bundle = build_bundle(name)
-        direction = direction or bundle.perturb_direction
-        mode = mode or "scale"
-        Drift(Fraction(0), mode=mode, direction=direction)
-        description, ceiling, evaluate = bundle.perturb_builder(
-            direction, mode, seeds, steps, seed
-        )
-        return PerturbTarget(
-            name=name,
-            description=description,
-            direction=direction,
-            mode=mode,
-            ceiling=ceiling,
-            evaluate=_guarded(evaluate),
-            expected_broken=False,
-            seeds=seeds,
-            steps=steps,
-            seed=seed,
-        )
-    if name not in _BUILDERS:
+    try:
+        catalog.KIND_SPECS["perturb"].admit_system(name)
+    except ValueError:
         raise ReproError(
-            "unknown perturbation target {!r}; expected one of {}".format(
-                name, ", ".join(_BUILDERS)
-            )
-        )
-    builder, canonical_direction = _BUILDERS[name]
-    direction = direction or canonical_direction
+            "unknown perturbation target {!r}; expected one of {} or a gen: "
+            "name".format(name, ", ".join(catalog.SURFACE_SYSTEMS))
+        ) from None
+    system = bundle(name)
+    direction = direction or system.perturb_direction
     mode = mode or "scale"
     # Validate direction/mode eagerly (Drift owns the vocabulary).
     Drift(Fraction(0), mode=mode, direction=direction)
-    description, ceiling, evaluate = builder(direction, mode, seeds, steps, seed)
+    description, ceiling, evaluate = system.perturb_builder(
+        direction, mode, seeds, steps, seed
+    )
     return PerturbTarget(
         name=name,
         description=description,

@@ -24,13 +24,12 @@ from repro.gen.names import (
     parse,
     sample_names,
 )
-from repro.gen.families import GeneratedSystem, build_bundle
+from repro.gen.families import build_bundle
 
 __all__ = [
     "GEN_PREFIX",
     "GEN_VERSION",
     "GenName",
-    "GeneratedSystem",
     "build_bundle",
     "cache_parts",
     "family_names",

@@ -5,12 +5,13 @@ mutual exclusion with ``n`` processes, the Section 6 signal relay as a
 ``k``-stage line, the same hop discipline closed into a token ring or
 fanned out into a tree (the B_k hierarchy applied per root-leaf path),
 and the tournament mutex bracket.  :func:`build_bundle` turns a parsed
-``gen:`` name into a :class:`GeneratedSystem` — everything the rest of
-the toolchain needs to treat the instance exactly like a shipped
-system: the ``(A, b)`` timed automaton and exploration cap, exhaustive
-mapping obligations, the lint target, the statically dischargeable
-obligations with their declared closed-form bounds, and the perturb
-battery ``check`` evaluates at ``ε = 0``.
+``gen:`` name into a :class:`~repro.surface.Bundle`, the record a
+shipped system has too — everything the rest of the toolchain needs to
+treat the instance exactly like a shipped system: the ``(A, b)`` timed
+automaton and exploration cap, exhaustive mapping obligations, the
+lint target, the statically dischargeable obligations with their
+declared closed-form bounds, and the perturb battery ``check``
+evaluates at ``ε = 0``.
 
 Cost model (the :mod:`repro.gen.names` caps exist to keep these true):
 
@@ -30,21 +31,20 @@ tournament(w)   ~26 (w=2), 3,764 (w=4)   full sweep at w=2; bounded above
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
 from repro.errors import ReproError
-from repro.gen.names import GEN_VERSION, GenName, parse
+from repro.gen.names import GenName, parse
 from repro.ioa.actions import Act, Kind
 from repro.ioa.composition import Composition
 from repro.ioa.guarded import ActionSpec, GuardedAutomaton
 from repro.ioa.partition import Partition
+from repro.surface import Bundle
 from repro.timed.boundmap import Boundmap, TimedAutomaton
 from repro.timed.interval import Interval
 
 __all__ = [
-    "GeneratedSystem",
     "FIRE",
     "PASS",
     "build_bundle",
@@ -67,117 +67,12 @@ def FIRE(i: int) -> Act:
     return Act("FIRE", (i,))
 
 
-@dataclass
-class GeneratedSystem:
-    """One generated instance, fully formed.
-
-    Field factories are thunks so that cheap queries (``gen list``,
-    cache-key derivation) never build automata; results are memoised on
-    first use because one CLI invocation touches several accessors.
-    """
-
-    name: str
-    family: str
-    params: Dict[str, int]
-    description: str
-    timed_factory: Callable[[], TimedAutomaton]
-    system_factory: Callable[[], Any]
-    max_states: int
-    grid: Optional[Fraction]
-    horizon: Optional[Fraction]
-    #: ``() -> [(label, mapping)]`` or None for zone-only instances.
-    mappings_factory: Optional[Callable[[], List[Tuple[str, Any]]]]
-    lint_target_factory: Callable[[], Any]
-    obligations_factory: Callable[[], List[Any]]
-    bounds_factory: Callable[[], List[Any]]
-    tolerance: Optional[Fraction]
-    #: Conditions handed to the interference pass (driver semantics).
-    requirements_factory: Callable[[], Tuple[Any, ...]] = lambda: ()
-    analyze_waivers: Tuple[Tuple[str, str], ...] = ()
-    perturb_direction: str = "tighten"
-    #: ``(direction, mode, seeds, steps, seed) -> (description, ceiling,
-    #: evaluate)`` — the same contract as the shipped perturb builders.
-    perturb_builder: Optional[Callable] = None
-    _memo: Dict[str, Any] = field(default_factory=dict, repr=False)
-
-    def _cached(self, key: str, thunk: Callable[[], Any]) -> Any:
-        if key not in self._memo:
-            self._memo[key] = thunk()
-        return self._memo[key]
-
-    def timed(self) -> TimedAutomaton:
-        return self._cached("timed", self.timed_factory)
-
-    def system(self) -> Any:
-        return self._cached("system", self.system_factory)
-
-    def mappings(self) -> Optional[List[Tuple[str, Any]]]:
-        if self.mappings_factory is None:
-            return None
-        return self._cached("mappings", self.mappings_factory)
-
-    def lint_target(self) -> Any:
-        return self._cached("lint", self.lint_target_factory)
-
-    def obligations(self) -> List[Any]:
-        return self._cached("obligations", self.obligations_factory)
-
-    def bounds(self) -> List[Any]:
-        return self._cached("bounds", self.bounds_factory)
-
-    def requirements(self) -> Tuple[Any, ...]:
-        return self._cached("requirements", self.requirements_factory)
-
-    def describe_dict(self) -> Dict[str, Any]:
-        """A stable, JSON-serialisable description of the instance —
-        the payload ``gen emit`` prints.  Deterministic by construction
-        (sorted keys, exact fractions as strings), so equal seeds and
-        params yield byte-identical serialisations across processes."""
-        timed = self.timed()
-        classes = sorted(name for name, _ in timed.boundmap.items())
-        boundmap = {
-            name: [_frac(timed.boundmap[name].lo), _frac(timed.boundmap[name].hi)]
-            for name in classes
-        }
-        bounds = [
-            {
-                "label": bound.label,
-                "derived": [_frac(bound.derived.lo), _frac(bound.derived.hi)],
-                "declared": [_frac(bound.declared.lo), _frac(bound.declared.hi)],
-            }
-            for bound in sorted(self.bounds(), key=lambda b: b.label)
-        ]
-        return {
-            "gen_version": GEN_VERSION,
-            "name": self.name,
-            "family": self.family,
-            "params": dict(sorted(self.params.items())),
-            "description": self.description,
-            "classes": classes,
-            "boundmap": boundmap,
-            "max_states": self.max_states,
-            "grid": None if self.grid is None else _frac(self.grid),
-            "horizon": None if self.horizon is None else _frac(self.horizon),
-            "mappings": [label for label, _ in (self.mappings() or [])],
-            "declared_bounds": bounds,
-            "tolerance": None if self.tolerance is None else _frac(self.tolerance),
-        }
-
-
-def _frac(value) -> str:
-    from repro.timed.interval import INFINITY
-
-    if value == INFINITY:
-        return "inf"
-    return str(Fraction(value))
-
-
 # ----------------------------------------------------------------------
 # fischer(n)
 # ----------------------------------------------------------------------
 
 
-def _fischer_bundle(parsed: GenName) -> GeneratedSystem:
+def _fischer_bundle(parsed: GenName) -> Bundle:
     from repro.systems.extensions import FischerParams
 
     n = parsed.params[0]
@@ -234,7 +129,7 @@ def _fischer_bundle(parsed: GenName) -> GeneratedSystem:
             seed=seed,
         )
 
-    return GeneratedSystem(
+    return Bundle(
         name=parsed.name,
         family="fischer",
         params=parsed.params_dict(),
@@ -260,7 +155,7 @@ def _fischer_bundle(parsed: GenName) -> GeneratedSystem:
 # ----------------------------------------------------------------------
 
 
-def _relay_line_bundle(parsed: GenName) -> GeneratedSystem:
+def _relay_line_bundle(parsed: GenName) -> Bundle:
     k = parsed.params[0]
 
     def system():
@@ -309,10 +204,12 @@ def _relay_line_bundle(parsed: GenName) -> GeneratedSystem:
 
         return _relay_bounds(parsed.name, system())
 
-    def perturb(direction, mode, seeds, steps, seed):
-        return _relay_line_battery(k, direction, mode, seeds, steps, seed)
+    def perturb(*battery):
+        from repro.faults.targets import _relay_builder
 
-    return GeneratedSystem(
+        return _relay_builder(system(), *battery)
+
+    return Bundle(
         name=parsed.name,
         family="relay_line",
         params=parsed.params_dict(),
@@ -332,67 +229,6 @@ def _relay_line_bundle(parsed: GenName) -> GeneratedSystem:
         perturb_direction="tighten",
         perturb_builder=perturb,
     )
-
-
-def _relay_line_battery(k: int, direction, mode, seeds, steps, seed):
-    from repro.core.mappings import MappingChain
-    from repro.core.projection import project
-    from repro.core.dummification import undum
-    from repro.faults.checks import (
-        lemma_2_1_check,
-        mapping_run_check,
-        slack_refinement_mapping,
-        zone_condition_check,
-    )
-    from repro.faults.perturb import Drift, perturb_interval
-    from repro.faults.targets import _adversarial_runs, _run_checks
-    from repro.systems import SIGNAL, RelayParams, RelaySystem, relay_hierarchy
-
-    nominal = RelaySystem(RelayParams(n=k, d1=_HOP.lo, d2=_HOP.hi))
-    claimed = nominal.params.end_to_end_interval
-
-    def evaluate(eps, budget):
-        if eps == 0:
-            perturbed = nominal
-        else:
-            stage = perturb_interval(_HOP, Drift(eps, mode=mode, direction=direction))
-            perturbed = RelaySystem(RelayParams(n=k, d1=stage.lo, d2=stage.hi))
-        chain = MappingChain(
-            list(relay_hierarchy(perturbed).mappings)
-            + [
-                slack_refinement_mapping(
-                    perturbed.requirements,
-                    nominal.requirements,
-                    name="relay slack refinement",
-                )
-            ]
-        )
-        runs = _adversarial_runs(perturbed.algorithm, budget, seeds, steps, base=seed)
-        checks = [
-            (
-                "Section 6 hierarchy + slack refinement",
-                lambda: mapping_run_check(chain, runs, budget),
-            ),
-            (
-                "Lemma 2.1 vs nominal (A, b)",
-                lambda: lemma_2_1_check(
-                    nominal.timed, [undum(project(run)) for run in runs], budget
-                ),
-            ),
-            (
-                "zone end-to-end bound",
-                lambda: zone_condition_check(
-                    perturbed.timed, SIGNAL(0), SIGNAL(k), claimed, budget=budget
-                ),
-            ),
-        ]
-        return _run_checks(checks, budget)
-
-    description = (
-        "generated signal relay (n={}, d1=1, d2=2): Section 6 hierarchy "
-        "chained into the nominal requirements".format(k)
-    )
-    return description, Fraction(1), evaluate
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +261,7 @@ def _ring_timed(k: int) -> TimedAutomaton:
     )
 
 
-def _relay_ring_bundle(parsed: GenName) -> GeneratedSystem:
+def _relay_ring_bundle(parsed: GenName) -> Bundle:
     k = parsed.params[0]
     lap = _HOP.scale(k)
 
@@ -466,7 +302,7 @@ def _relay_ring_bundle(parsed: GenName) -> GeneratedSystem:
     def perturb(direction, mode, seeds, steps, seed):
         return _ring_battery(k, direction, mode, seeds, steps, seed)
 
-    return GeneratedSystem(
+    return Bundle(
         name=parsed.name,
         family="relay_ring",
         params=parsed.params_dict(),
@@ -643,7 +479,7 @@ def _tree_spine(depth: int):
     return ChainSystem([_HOP] * depth)
 
 
-def _relay_tree_bundle(parsed: GenName) -> GeneratedSystem:
+def _relay_tree_bundle(parsed: GenName) -> Bundle:
     depth, fanout = parsed.params
     spine_memo: Dict[str, Any] = {}
 
@@ -721,7 +557,7 @@ def _relay_tree_bundle(parsed: GenName) -> GeneratedSystem:
         return _tree_battery(depth, fanout, direction, mode, seeds, steps, seed)
 
     states = tree_state_count(depth, fanout)
-    return GeneratedSystem(
+    return Bundle(
         name=parsed.name,
         family="relay_tree",
         params=parsed.params_dict(),
@@ -828,7 +664,7 @@ def _tree_battery(depth: int, fanout: int, direction, mode, seeds, steps, seed):
 # ----------------------------------------------------------------------
 
 
-def _tournament_bundle(parsed: GenName) -> GeneratedSystem:
+def _tournament_bundle(parsed: GenName) -> Bundle:
     from repro.systems.extensions import TournamentParams
 
     width = parsed.params[0]
@@ -884,7 +720,7 @@ def _tournament_bundle(parsed: GenName) -> GeneratedSystem:
             seed=seed,
         )
 
-    return GeneratedSystem(
+    return Bundle(
         name=parsed.name,
         family="tournament",
         params=parsed.params_dict(),
@@ -1008,7 +844,7 @@ def _run_states(run) -> List[Any]:
 # Dispatch
 # ----------------------------------------------------------------------
 
-_BUILDERS: Dict[str, Callable[[GenName], GeneratedSystem]] = {
+_BUILDERS: Dict[str, Callable[[GenName], Bundle]] = {
     "fischer": _fischer_bundle,
     "relay_line": _relay_line_bundle,
     "relay_ring": _relay_ring_bundle,
@@ -1017,8 +853,8 @@ _BUILDERS: Dict[str, Callable[[GenName], GeneratedSystem]] = {
 }
 
 @functools.lru_cache(maxsize=64)
-def build_bundle(name: str) -> GeneratedSystem:
-    """The :class:`GeneratedSystem` for a ``gen:`` name.
+def build_bundle(name: str) -> Bundle:
+    """The :class:`~repro.surface.Bundle` for a ``gen:`` name.
 
     Bundles are immutable once built, so the most recent 64 are memoised:
     a long-lived process that checks many names keeps a bounded set of

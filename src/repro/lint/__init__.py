@@ -31,7 +31,7 @@ from repro.lint.driver import (
     lint_system,
     lint_timed_automaton,
 )
-from repro.lint.targets import SystemTarget, build_all_targets, build_target, system_names
+from repro.lint.targets import SystemTarget, build_all_targets, build_target
 
 __all__ = [
     "Severity",
@@ -50,7 +50,6 @@ __all__ = [
     "lint_chain",
     "lint_system",
     "SystemTarget",
-    "system_names",
     "build_target",
     "build_all_targets",
 ]

@@ -510,10 +510,11 @@ def fragile_bounds(ctx):
     proofs' breaking point, and any implementation drift voids them.
     Systems without a harness are skipped; an exhausted probe budget
     downgrades to INFO (inconclusive, not fragile)."""
-    from repro.faults import Budget, perturb_names, probe_tolerance
+    from repro.catalog import SURFACE_SYSTEMS
+    from repro.faults import Budget, probe_tolerance
 
     name = ctx.target.name
-    if name not in perturb_names():
+    if name not in SURFACE_SYSTEMS:
         return
     budget = Budget(max_states=50_000, max_steps=500_000, wall_time=15)
     try:

@@ -1,29 +1,25 @@
-"""Lintable bundles for every shipped system.
+"""Lintable bundles for every system.
 
 A :class:`SystemTarget` collects the artifacts a system exposes — timed
 automata, requirement condition sets, mappings and hierarchies — under
 stable location labels, so ``python -m repro lint <name>`` and the
-self-check test can lint each system the same way.
-
-Builders use the same default parameters as the CLI commands, chosen
-small enough that bounded exploration finishes instantly.
+self-check test can lint each system the same way.  Each system's
+target is built by its :class:`repro.surface.Bundle`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.errors import LintError
-from repro.timed.interval import Interval
+from repro import catalog
 
-__all__ = ["SystemTarget", "system_names", "build_target", "build_all_targets"]
+__all__ = ["SystemTarget", "build_target", "build_all_targets"]
 
 
 @dataclass
 class SystemTarget:
-    """Everything the linter inspects for one shipped system."""
+    """Everything the linter inspects for one system."""
 
     name: str
     #: ``(location, TimedAutomaton)`` pairs.
@@ -41,162 +37,12 @@ class SystemTarget:
     waivers: Tuple[Tuple[str, str], ...] = ()
 
 
-def _rm_target() -> SystemTarget:
-    from repro.systems import (
-        ResourceManagerParams,
-        ResourceManagerSystem,
-        resource_manager_mapping,
-    )
-
-    system = ResourceManagerSystem(
-        ResourceManagerParams(k=3, c1=Fraction(2), c2=Fraction(3), l=Fraction(1))
-    )
-    return SystemTarget(
-        name="rm",
-        timed_automata=(("rm/(A,b)", system.timed),),
-        condition_sets=(
-            ("rm/requirements", system.timed.automaton, (system.g1, system.g2)),
-        ),
-        mappings=(resource_manager_mapping(system),),
-    )
-
-
-def _relay_target() -> SystemTarget:
-    from repro.systems import RelayParams, RelaySystem, relay_hierarchy
-
-    system = RelaySystem(RelayParams(n=3, d1=Fraction(1), d2=Fraction(2)))
-    return SystemTarget(
-        name="relay",
-        timed_automata=(
-            ("relay/(A,b)", system.timed),
-            ("relay/(A~,b~)", system.dummified),
-        ),
-        condition_sets=(
-            ("relay/requirements", system.dummified.automaton, (system.requirement,)),
-        ),
-        chains=(("relay/hierarchy", relay_hierarchy(system)),),
-        waivers=(("R005", "'SIGNAL_0'"),),
-    )
-
-
-def _fischer_target() -> SystemTarget:
-    from repro.systems.extensions.fischer import FischerParams, fischer_system
-
-    timed = fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(2)))
-    return SystemTarget(
-        name="fischer",
-        timed_automata=(("fischer/(A,b)", timed),),
-        waivers=(("R005", "'TRY_"), ("R005", "'EXIT_")),
-    )
-
-
-def _peterson_target() -> SystemTarget:
-    from repro.systems.extensions.peterson import PetersonParams, peterson_system
-
-    timed = peterson_system(PetersonParams(s1=Fraction(1), s2=Fraction(2)))
-    return SystemTarget(
-        name="peterson",
-        timed_automata=(("peterson/(A,b)", timed),),
-        waivers=(("R005", "'CS_"),),
-    )
-
-
-def _tournament_target() -> SystemTarget:
-    from repro.systems.extensions.tournament import TournamentParams, tournament_system
-
-    timed = tournament_system(TournamentParams(n=2, s1=Fraction(1), s2=Fraction(2)))
-    return SystemTarget(
-        name="tournament",
-        timed_automata=(("tournament/(A,b)", timed),),
-        waivers=(("R005", "'CS_"),),
-    )
-
-
-def _chain_target() -> SystemTarget:
-    from repro.systems.extensions.chain import ChainSystem
-
-    system = ChainSystem([Interval(1, 2), Interval(2, 3)])
-    return SystemTarget(
-        name="chain",
-        timed_automata=(
-            ("chain/(A,b)", system.timed),
-            ("chain/(A~,b~)", system.dummified),
-        ),
-        condition_sets=(
-            ("chain/requirements", system.dummified.automaton, (system.requirement,)),
-        ),
-        chains=(("chain/hierarchy", system.hierarchy()),),
-        waivers=(("R005", "'EVENT_0'"),),
-    )
-
-
-def _request_grant_target() -> SystemTarget:
-    from repro.systems.extensions.request_grant import (
-        RequestGrantParams,
-        request_grant_system,
-        response_condition,
-    )
-
-    params = RequestGrantParams(r1=Fraction(3), r2=Fraction(4), l=Fraction(1))
-    timed = request_grant_system(params)
-    return SystemTarget(
-        name="request-grant",
-        timed_automata=(("request-grant/(A,b)", timed),),
-        condition_sets=(
-            (
-                "request-grant/requirements",
-                timed.automaton,
-                (response_condition(params),),
-            ),
-        ),
-    )
-
-
-def _interrupt_target() -> SystemTarget:
-    from repro.systems import ResourceManagerParams
-    from repro.systems.extensions.interrupt_manager import interrupt_resource_manager
-
-    timed = interrupt_resource_manager(
-        ResourceManagerParams(k=3, c1=Fraction(2), c2=Fraction(3), l=Fraction(1))
-    )
-    return SystemTarget(name="interrupt", timed_automata=(("interrupt/(A,b)", timed),))
-
-
-_BUILDERS: Dict[str, Callable[[], SystemTarget]] = {
-    "rm": _rm_target,
-    "relay": _relay_target,
-    "fischer": _fischer_target,
-    "peterson": _peterson_target,
-    "tournament": _tournament_target,
-    "chain": _chain_target,
-    "request-grant": _request_grant_target,
-    "interrupt": _interrupt_target,
-}
-
-
-def system_names() -> Tuple[str, ...]:
-    """The lintable shipped-system names, in CLI order."""
-    return tuple(_BUILDERS)
-
-
 def build_target(name: str) -> SystemTarget:
-    """Build the lint target for one shipped or generated system."""
-    from repro.gen.names import is_gen_name
+    """The lint target of one shipped or generated system."""
+    from repro.surface import bundle
 
-    if is_gen_name(name):
-        from repro.gen.families import build_bundle
-
-        return build_bundle(name).lint_target()
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise LintError(
-            "unknown system {!r}; choose from {}".format(
-                name, ", ".join(system_names())
-            )
-        ) from None
-    return builder()
+    return bundle(name).lint_target()
 
 
 def build_all_targets() -> Tuple[SystemTarget, ...]:
-    return tuple(builder() for builder in _BUILDERS.values())
+    return tuple(build_target(name) for name in catalog.LINT_SYSTEMS)

@@ -16,154 +16,88 @@ import random
 from fractions import Fraction
 from typing import Any, Dict, Tuple
 
+from repro import catalog
 from repro.errors import ReproError, SchedulingDeadlockError
 from repro.obs.instrument import Recorder, recording
 
-__all__ = ["trace_names", "trace_system"]
+__all__ = ["trace_system"]
 
-
-def _trace_rm(rec: Recorder, seed: int, steps: int) -> Dict[str, Any]:
-    from repro.core import check_mapping_on_run
-    from repro.sim import Simulator, UniformStrategy
-    from repro.systems import (
-        ResourceManagerParams,
-        ResourceManagerSystem,
-        resource_manager_mapping,
-    )
-
-    system = ResourceManagerSystem(
-        ResourceManagerParams(k=3, c1=Fraction(2), c2=Fraction(3), l=Fraction(1))
-    )
-    run = Simulator(system.algorithm, UniformStrategy(random.Random(seed))).run(
-        max_steps=steps
-    )
-    outcome = check_mapping_on_run(resource_manager_mapping(system), run)
-    return {"ok": outcome.ok, "steps": len(run.events), "check": "Section 4.3 mapping"}
-
-
-def _trace_relay(rec: Recorder, seed: int, steps: int) -> Dict[str, Any]:
-    from repro.core import check_chain_on_run
-    from repro.sim import Simulator, UniformStrategy
-    from repro.systems import RelayParams, RelaySystem, relay_hierarchy
-
-    system = RelaySystem(RelayParams(n=3, d1=Fraction(1), d2=Fraction(2)))
-    run = Simulator(system.algorithm, UniformStrategy(random.Random(seed))).run(
-        max_steps=steps
-    )
-    outcome = check_chain_on_run(relay_hierarchy(system), run)
-    return {"ok": outcome.ok, "steps": len(run.events), "check": "Section 6 hierarchy"}
-
-
-def _trace_chain(rec: Recorder, seed: int, steps: int) -> Dict[str, Any]:
-    from repro.core import check_chain_on_run
-    from repro.sim import Simulator, UniformStrategy
-    from repro.systems.extensions import ChainSystem
-    from repro.timed.interval import Interval
-
-    system = ChainSystem([Interval(1, 2), Interval(2, 3)])
-    run = Simulator(system.algorithm, UniformStrategy(random.Random(seed))).run(
-        max_steps=steps
-    )
-    outcome = check_chain_on_run(system.hierarchy(), run)
-    return {"ok": outcome.ok, "steps": len(run.events), "check": "Section 8 hierarchy"}
-
-
-def _safety_tracer(build, predicate_name: str):
-    def tracer(rec: Recorder, seed: int, steps: int) -> Dict[str, Any]:
-        from repro.core import time_of_boundmap
-        from repro.sim import Simulator, UniformStrategy
-        from repro.zones.analysis import search_reachable_state
-
-        timed, sim_timed, predicate = build()
-        search = search_reachable_state(timed, predicate, max_nodes=400_000)
-        rec.event(
-            "safety.verdict",
-            predicate=predicate_name,
-            safe=search.state is None,
-            nodes=search.nodes,
-            conclusive=search.conclusive,
-            state=None if search.state is None else repr(search.state),
-        )
-        sim_steps = 0
-        sim_violations = 0
-        if sim_timed is not None:
-            try:
-                run = Simulator(
-                    time_of_boundmap(sim_timed), UniformStrategy(random.Random(seed))
-                ).run(max_steps=steps)
-            except SchedulingDeadlockError:
-                # The sim.deadlock terminal event is already in the trace.
-                run = None
-            if run is not None:
-                sim_steps = len(run.events)
-                sim_violations = sum(
-                    1 for s in run.states if predicate(s.astate)
-                )
-        return {
-            "ok": search.state is None and sim_violations == 0,
-            "safe": search.state is None,
-            "steps": sim_steps,
-            "check": predicate_name,
-        }
-
-    return tracer
-
-
-def _build_fischer():
-    from repro.systems.extensions import (
-        FischerParams,
-        fischer_system,
-        mutual_exclusion_violated,
-    )
-
-    timed = fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(2)))
-    sim = fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(2), e=Fraction(1)))
-    return timed, sim, mutual_exclusion_violated
-
-
-def _build_fischer_tight():
-    from repro.systems.extensions import (
-        FischerParams,
-        fischer_system,
-        mutual_exclusion_violated,
-    )
-
-    timed = fischer_system(FischerParams(n=2, a=Fraction(1), b=Fraction(1)))
-    return timed, None, mutual_exclusion_violated
-
-
-def _build_peterson():
-    from repro.systems.extensions import PetersonParams, both_critical, peterson_system
-
-    timed = peterson_system(PetersonParams(s1=Fraction(1), s2=Fraction(2)))
-    return timed, timed, both_critical
-
-
-def _build_tournament():
-    from repro.systems.extensions import (
-        TournamentParams,
-        tournament_mutex_violated,
-        tournament_system,
-    )
-
-    timed = tournament_system(TournamentParams(n=2, s1=Fraction(1), s2=Fraction(2)))
-    return timed, timed, tournament_mutex_violated
-
-
-_TRACERS = {
-    "rm": _trace_rm,
-    "relay": _trace_relay,
-    "chain": _trace_chain,
-    "fischer": _safety_tracer(_build_fischer, "mutual exclusion violated"),
-    "fischer-tight": _safety_tracer(_build_fischer_tight, "mutual exclusion violated"),
-    "peterson": _safety_tracer(_build_peterson, "both processes critical"),
-    "tournament": _safety_tracer(_build_tournament, "two processes critical"),
+#: What each mapping system's trace checks along its run.
+_MAPPING_CHECKS = {
+    "rm": "Section 4.3 mapping",
+    "relay": "Section 6 hierarchy",
+    "chain": "Section 8 hierarchy",
 }
 
 
-def trace_names() -> Tuple[str, ...]:
-    """Names accepted by :func:`trace_system` (and the CLI)."""
-    return tuple(_TRACERS)
+def _trace_mappings(system, seed: int, steps: int) -> Dict[str, Any]:
+    """One seeded run of the system, checked through its mappings: a
+    single mapping on its own, a hierarchy level by level in lockstep."""
+    from repro.core import MappingChain, check_chain_on_run, check_mapping_on_run
+    from repro.sim import Simulator, UniformStrategy
+
+    run = Simulator(system.system().algorithm, UniformStrategy(random.Random(seed))).run(
+        max_steps=steps
+    )
+    mappings = [mapping for _label, mapping in system.mappings()]
+    if len(mappings) == 1:
+        outcome = check_mapping_on_run(mappings[0], run)
+    else:
+        outcome = check_chain_on_run(MappingChain(mappings), run)
+    return {"ok": outcome.ok, "steps": len(run.events), "check": _MAPPING_CHECKS[system.name]}
+
+
+def _simulated(system):
+    """The timed automaton a safety trace simulates: the system's own,
+    except that Fischer's textbook critical section is unbounded, so
+    its run bounds it at ``e = 1``, and the broken variant is traced by
+    its zone search alone."""
+    if system.name == "fischer-tight":
+        return None
+    if system.name == "fischer":
+        from dataclasses import replace
+
+        from repro.systems.extensions import fischer_system
+
+        return fischer_system(replace(system.system(), e=Fraction(1)))
+    return system.timed()
+
+
+def _trace_safety(system, rec: Recorder, seed: int, steps: int) -> Dict[str, Any]:
+    from repro.core import time_of_boundmap
+    from repro.sim import Simulator, UniformStrategy
+    from repro.zones.analysis import search_reachable_state
+
+    predicate_name, predicate = system.violation
+    search = search_reachable_state(system.timed(), predicate, max_nodes=400_000)
+    rec.event(
+        "safety.verdict",
+        predicate=predicate_name,
+        safe=search.state is None,
+        nodes=search.nodes,
+        conclusive=search.conclusive,
+        state=None if search.state is None else repr(search.state),
+    )
+    sim_steps = 0
+    sim_violations = 0
+    sim_timed = _simulated(system)
+    if sim_timed is not None:
+        try:
+            run = Simulator(
+                time_of_boundmap(sim_timed), UniformStrategy(random.Random(seed))
+            ).run(max_steps=steps)
+        except SchedulingDeadlockError:
+            # The sim.deadlock terminal event is already in the trace.
+            run = None
+        if run is not None:
+            sim_steps = len(run.events)
+            sim_violations = sum(1 for s in run.states if predicate(s.astate))
+    return {
+        "ok": search.state is None and sim_violations == 0,
+        "safe": search.state is None,
+        "steps": sim_steps,
+        "check": predicate_name,
+    }
 
 
 def trace_system(
@@ -179,16 +113,22 @@ def trace_system(
     ``fischer-tight`` system the trace ends with a ``safety.verdict``
     event carrying the reachable violation.
     """
-    if name not in _TRACERS:
+    from repro.surface import bundle
+
+    if name not in catalog.SURFACE_SYSTEMS:
         raise ReproError(
             "unknown trace target {!r}; expected one of {}".format(
-                name, ", ".join(_TRACERS)
+                name, ", ".join(catalog.SURFACE_SYSTEMS)
             )
         )
     recorder = Recorder(name="trace." + name, max_events=max_events)
     with recording(recorder):
         recorder.event("trace.begin", system=name, seed=seed, max_steps=steps)
-        summary = _TRACERS[name](recorder, seed, steps)
+        system = bundle(name)
+        if system.violation is None:
+            summary = _trace_mappings(system, seed, steps)
+        else:
+            summary = _trace_safety(system, recorder, seed, steps)
         recorder.event("trace.end", system=name, **{
             k: v for k, v in summary.items() if isinstance(v, (bool, int, str))
         })

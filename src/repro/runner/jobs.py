@@ -326,16 +326,7 @@ def job_cache_parts(job: Job) -> Optional[Dict[str, Any]]:
         for key, value in job.params.items()
         if key not in _UNCACHED_PARAMS
     }
-    from repro.gen import cache_parts as gen_cache_parts
-    from repro.gen import is_gen_name
-    from repro.gen.names import GEN_VERSION
-
-    if is_gen_name(job.system):
-        # Generated instances key on (family, params, generator
-        # version) so a generator change invalidates their verdicts.
-        parts.update(gen_cache_parts(job.system))
-    elif job.kind == "fuzz":
-        parts["gen_version"] = GEN_VERSION
+    parts.update(catalog.key_parts(job.system))
     return parts
 
 

@@ -4,16 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from repro.analyze import (
-    analyze_names,
-    closed_form_tolerance,
-    derived_bounds,
-)
+from repro.analyze import closed_form_tolerance, derived_bounds
+from repro.catalog import SURFACE_SYSTEMS
 from repro.timed.interval import Interval
 
 
 class TestDerivedBounds:
-    @pytest.mark.parametrize("name", list(analyze_names()))
+    @pytest.mark.parametrize("name", list(SURFACE_SYSTEMS))
     def test_every_declared_bound_is_derivable(self, name):
         for bound in derived_bounds(name):
             assert bound.agrees, bound
@@ -50,7 +47,7 @@ class TestDerivedBounds:
     def test_bound_dicts_are_json_plain(self):
         import json
 
-        for name in analyze_names():
+        for name in SURFACE_SYSTEMS:
             for bound in derived_bounds(name):
                 json.dumps(bound.to_dict())
 

@@ -66,9 +66,9 @@ class TestOnShippedSystems:
         assert not report.fails(strict=True)
 
     def test_no_errors_anywhere_on_the_surface(self):
-        from repro.analyze import analyze_names
+        from repro.catalog import SURFACE_SYSTEMS
 
-        for name in analyze_names():
+        for name in SURFACE_SYSTEMS:
             assert not analyze_system(name).interference.has_errors
 
 

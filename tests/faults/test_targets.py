@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from repro.errors import ReproError
-from repro.faults import Budget, build_perturb_target, perturb_names, probe_tolerance
+from repro.catalog import SURFACE_SYSTEMS
+from repro.faults import Budget, build_perturb_target, probe_tolerance
 
 
 def budget():
@@ -16,7 +17,7 @@ def budget():
 
 class TestRegistry:
     def test_names_cover_all_shipped_harnesses(self):
-        assert set(perturb_names()) == {
+        assert set(SURFACE_SYSTEMS) == {
             "rm",
             "relay",
             "chain",

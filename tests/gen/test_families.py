@@ -95,9 +95,9 @@ class TestBundles:
 class TestToolchainIntegration:
     @pytest.mark.parametrize("name", CHEAP)
     def test_surface_builds_gen_systems(self, name):
-        from repro.par.surface import build_timed, mapping_specs
+        from repro.surface import bundle, mapping_specs
 
-        timed = build_timed(name)
+        timed = bundle(name).timed()
         assert timed.automaton is not None
         for label, mapping, grid, horizon in mapping_specs(name):
             assert label and grid > 0 and horizon > 0

@@ -18,9 +18,10 @@ from repro.gen.families import build_bundle
 from repro.gen.names import is_gen_name
 from repro.ioa.explorer import explore
 from repro.ioa.partition import PartitionClass
-from repro.par.surface import explore_automaton, mapping_specs, surface_names
+from repro.catalog import SURFACE_SYSTEMS
+from repro.surface import _SYSTEMS, explore_automaton, mapping_specs
 
-SYSTEMS = list(surface_names()) + ["gen:fischer-4", "gen:relay_line-3", "gen:tournament-4"]
+SYSTEMS = list(SURFACE_SYSTEMS) + ["gen:fischer-4", "gen:relay_line-3", "gen:tournament-4"]
 
 
 def reference_actions(automaton, state):
@@ -45,11 +46,11 @@ def memo_entries(automaton) -> int:
 
 
 def fresh_automaton(name):
-    """A newly built instance with an empty memo (``gen:`` bundles are
-    memoised per process, so their shared automaton may be warm)."""
+    """A newly built instance with an empty memo (bundles are memoised
+    per process, so their shared automaton may be warm)."""
     if is_gen_name(name):
         return build_bundle(name).timed_factory().automaton
-    return explore_automaton(name)[0]
+    return _SYSTEMS[name]().timed().automaton
 
 
 def reachable_states(name):

@@ -9,16 +9,17 @@ noticed.
 
 import pytest
 
-from repro.lint import build_target, lint_system, system_names
+from repro.catalog import LINT_SYSTEMS
+from repro.lint import build_target, lint_system
 
 
-@pytest.mark.parametrize("name", system_names())
+@pytest.mark.parametrize("name", LINT_SYSTEMS)
 def test_system_lints_clean_of_errors(name):
     report = lint_system(build_target(name))
     assert not report.errors, "\n" + report.render()
 
 
-@pytest.mark.parametrize("name", system_names())
+@pytest.mark.parametrize("name", LINT_SYSTEMS)
 def test_system_warnings_are_only_trivial_bounds(name):
     """The only expected warnings are R005 on deliberately untimed
     environment/progress classes; anything else is a regression."""
@@ -28,6 +29,6 @@ def test_system_warnings_are_only_trivial_bounds(name):
 
 
 def test_all_systems_are_covered():
-    names = system_names()
+    names = LINT_SYSTEMS
     assert {"rm", "relay", "fischer", "peterson", "tournament"} <= set(names)
     assert len(names) == len(set(names))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.tracing import trace_names, trace_system
+from repro.obs.tracing import trace_system
 from repro.serialize import events_from_jsonl, events_to_jsonl
 
 
@@ -11,8 +11,9 @@ class TestTraceSystem:
     def test_names_match_the_surface(self):
         from repro.catalog import SURFACE_SYSTEMS
 
-        # Every system on the verification surface has a tracer.
-        assert set(trace_names()) == set(SURFACE_SYSTEMS)
+        # Every system on the verification surface traces.
+        for name in SURFACE_SYSTEMS:
+            assert trace_system(name, steps=5)[1]["events"] > 0, name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ReproError):

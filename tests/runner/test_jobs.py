@@ -9,17 +9,14 @@ from repro.runner.jobs import RESULT_SCHEMA_VERSION
 
 class TestCatalog:
     def test_all_kinds_cover_every_registered_system(self):
-        from repro.analyze import analyze_names
-        from repro.faults.targets import perturb_names
-        from repro.lint.targets import system_names as lint_names
+        from repro.catalog import LINT_SYSTEMS, SURFACE_SYSTEMS
 
         jobs = default_jobs()
         ids = {job.job_id for job in jobs}
-        for name in lint_names():
+        for name in LINT_SYSTEMS:
             assert "lint:" + name in ids
-        for name in analyze_names():
+        for name in SURFACE_SYSTEMS:
             assert "analyze:" + name in ids
-        for name in perturb_names():
             assert "check:" + name in ids
             assert "perturb:" + name in ids
         assert len(ids) == len(jobs)  # job ids are unique

@@ -25,7 +25,14 @@ ENGINE_PACKAGES = (
     "systems", "timed", "zones", "runner", "serve", "dist",
 )
 
-WARM_COMMANDS = (("lint", "rm"), ("analyze", "fischer"), ("check", "fischer"))
+#: Verdict commands (``argv`` less ``--json``) whose second run must be a
+#: cache hit.
+WARM_COMMANDS = (
+    ("lint", "rm"),
+    ("analyze", "fischer"),
+    ("check", "fischer"),
+    ("perturb", "rm", "--epsilon", "1/8"),
+)
 
 #: Modules whose import pulls in a verification engine.
 ENGINE_ENTRY_POINTS = (
@@ -78,15 +85,15 @@ def test_help_loads_no_engine(tmp_path):
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("verdicts")
-    for kind, system in WARM_COMMANDS:
-        code, out, _ = _run([kind, system, "--json"], cache_dir)
-        assert json.loads(out)["cached"] is False, (kind, system, code)
+    for argv in WARM_COMMANDS:
+        code, out, _ = _run(list(argv) + ["--json"], cache_dir)
+        assert json.loads(out)["cached"] is False, (argv, code)
     return cache_dir
 
 
-@pytest.mark.parametrize("kind,system", WARM_COMMANDS)
-def test_warm_hit_loads_no_engine(warm_cache, kind, system):
-    code, out, modules = _run([kind, system, "--json"], warm_cache)
+@pytest.mark.parametrize("argv", WARM_COMMANDS, ids="-".join)
+def test_warm_hit_loads_no_engine(warm_cache, argv):
+    code, out, modules = _run(list(argv) + ["--json"], warm_cache)
     assert code == 0
     assert json.loads(out)["cached"] is True
     assert "repro.cache.store" in modules
