@@ -360,14 +360,16 @@ def _allowed(scan: _Scan, system: str) -> Optional[FrozenSet[str]]:
     seeds: Iterable[str]
     if system.startswith("gen:"):
         # Generated systems are built by <pkg>.gen, whose families
-        # import their building-block systems directly — those edges
-        # *are* the seed set.
+        # import their building-block systems directly or build them
+        # through the shipped builders in <pkg>.surface — the edges of
+        # both *are* the seed set (surface's over-key: it names every
+        # shipped system, which is sound).
         gen_modules = scan.under(scan.package + ".gen")
         if not gen_modules:
             return None
         seeds = {
             edge
-            for mod in gen_modules
+            for mod in gen_modules + scan.under(scan.package + ".surface")
             for edge in scan.edges.get(mod, ())
             if scan.partitioned(edge)
         }

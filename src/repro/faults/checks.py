@@ -237,7 +237,8 @@ def safety_check(
     max_nodes: int = 200_000,
 ) -> CheckOutcome:
     """Exact timed safety: no reachable state satisfies ``predicate``.
-    Inconclusive (budget-cut) sweeps come back ok-but-partial."""
+    A sweep cut short — by the budget or at ``max_nodes`` — comes back
+    ok but partial (``exhausted_budget``), never as a settled pass."""
     try:
         result = search_reachable_state(
             timed, predicate, max_nodes=max_nodes, budget=budget
@@ -257,5 +258,5 @@ def safety_check(
         ""
         if result.conclusive
         else "safety sweep inconclusive (truncated at {} nodes)".format(result.nodes),
-        exhausted_budget=result.exhausted_budget,
+        exhausted_budget=not result.conclusive,
     )

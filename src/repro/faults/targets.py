@@ -80,11 +80,10 @@ class PerturbTarget:
     """
 
     name: str
-    description: str
     direction: str
     mode: str
-    ceiling: Fraction
     evaluate: Evaluation
+    ceiling: Fraction = Fraction(1)
     expected_broken: bool = False
     #: The adversarial-battery parameters the harness was built with.
     seeds: int = 3
@@ -236,13 +235,7 @@ def _rm_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed
         ]
         return _run_checks(checks, budget)
 
-    description = (
-        "resource manager (k={}, c1={}, c2={}, l={}): Section 4.3 mapping, "
-        "Lemma 2.1, and zone bounds vs the nominal claims".format(
-            params.k, params.c1, params.c2, params.l
-        )
-    )
-    return description, Fraction(1), evaluate
+    return evaluate
 
 
 def _relay_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
@@ -291,12 +284,7 @@ def _relay_builder(nominal, direction: str, mode: str, seeds: int, steps: int, s
         ]
         return _run_checks(checks, budget)
 
-    description = (
-        "signal relay (n={}, d1={}, d2={}): Section 6 hierarchy chained "
-        "into the nominal requirements via a slack-refinement "
-        "mapping".format(params.n, params.d1, params.d2)
-    )
-    return description, Fraction(1), evaluate
+    return evaluate
 
 
 def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
@@ -342,13 +330,7 @@ def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, s
         ]
         return _run_checks(checks, budget)
 
-    description = (
-        "heterogeneous chain (stages {}): Minkowski-sum hierarchy chained "
-        "into the nominal requirements".format(
-            ", ".join("[{},{}]".format(s.lo, s.hi) for s in stages)
-        )
-    )
-    return description, Fraction(1), evaluate
+    return evaluate
 
 
 # ----------------------------------------------------------------------
@@ -357,10 +339,14 @@ def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, s
 
 
 def _safety_builder(system, direction: str, mode: str, seeds: int, steps: int, seed: int):
-    """A zone safety sweep of ``system``'s ``(A, b)`` for its
-    violation, after drifting the boundmap."""
+    """A zone safety sweep of ``system``'s ``(A, b)`` for its violation,
+    after drifting the boundmap.  A system that declares a
+    ``bounded_sweep`` gets a sweep cut at that many nodes — reported
+    inconclusive, so nothing partial is ever cached as settled — plus a
+    screen of the states adversarially scheduled runs visit."""
     timed = system.timed()
     describe, predicate = system.violation
+    bounded = system.bounded_sweep
 
     def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
         perturbed = (
@@ -368,17 +354,38 @@ def _safety_builder(system, direction: str, mode: str, seeds: int, steps: int, s
             if eps == 0
             else perturb_boundmap(timed, Drift(eps, mode=mode, direction=direction))
         )
+
+        def run_screen() -> CheckOutcome:
+            runs = _adversarial_runs(
+                time_of_boundmap(perturbed), budget, seeds, steps, base=seed
+            )
+            scanned = 0
+            for run in runs:
+                for state in run.states:
+                    scanned += 1
+                    if predicate(state.astate):
+                        return CheckOutcome(
+                            False, scanned, "{}: reached in a simulated run".format(describe)
+                        )
+            return CheckOutcome(True, scanned)
+
         checks = [
             (
                 "zone safety sweep",
                 lambda: safety_check(
-                    perturbed, predicate, describe=describe, budget=budget, max_nodes=200_000
+                    perturbed,
+                    predicate,
+                    describe=describe,
+                    budget=budget,
+                    max_nodes=200_000 if bounded is None else bounded,
                 ),
             )
         ]
+        if bounded is not None:
+            checks.append(("adversarial run screen", run_screen))
         return _run_checks(checks, budget)
 
-    return system.description, Fraction(1), evaluate
+    return evaluate
 
 
 def build_perturb_target(
@@ -404,15 +411,11 @@ def build_perturb_target(
     mode = mode or "scale"
     # Validate direction/mode eagerly (Drift owns the vocabulary).
     Drift(Fraction(0), mode=mode, direction=direction)
-    description, ceiling, evaluate = system.perturb_builder(
-        direction, mode, seeds, steps, seed
-    )
+    evaluate = system.perturb_builder(direction, mode, seeds, steps, seed)
     return PerturbTarget(
         name=name,
-        description=description,
         direction=direction,
         mode=mode,
-        ceiling=ceiling,
         evaluate=_guarded(evaluate),
         expected_broken=name in catalog.EXPECTED_BROKEN,
         seeds=seeds,

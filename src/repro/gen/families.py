@@ -13,6 +13,14 @@ lint target, the statically dischargeable obligations with their
 declared closed-form bounds, and the perturb battery ``check``
 evaluates at ``ε = 0``.
 
+Three families share their shape with a shipped system, and are built
+by that system's builder in :mod:`repro.surface` at the parsed size:
+``fischer``, ``relay_line`` and ``tournament`` (the shipped ``fischer``,
+``relay`` and ``tournament`` are ``gen:fischer-2``,
+``gen:relay_line-3`` and ``gen:tournament-2`` under another name).
+Their safety batteries are the one in :mod:`repro.faults.targets`.
+Only the ring and the tree, which have no shipped twin, are built here.
+
 Cost model (the :mod:`repro.gen.names` caps exist to keep these true):
 
 ==============  =======================  ================================
@@ -40,7 +48,7 @@ from repro.ioa.actions import Act, Kind
 from repro.ioa.composition import Composition
 from repro.ioa.guarded import ActionSpec, GuardedAutomaton
 from repro.ioa.partition import Partition
-from repro.surface import Bundle
+from repro.surface import Bundle, _fischer, _relay, _tournament
 from repro.timed.boundmap import Boundmap, TimedAutomaton
 from repro.timed.interval import Interval
 
@@ -65,170 +73,6 @@ def PASS(i: int) -> Act:
 def FIRE(i: int) -> Act:
     """Node ``i`` propagates the signal to its children (relay_tree)."""
     return Act("FIRE", (i,))
-
-
-# ----------------------------------------------------------------------
-# fischer(n)
-# ----------------------------------------------------------------------
-
-
-def _fischer_bundle(parsed: GenName) -> Bundle:
-    from repro.systems.extensions import FischerParams
-
-    n = parsed.params[0]
-    params = FischerParams(n=n, a=Fraction(1), b=Fraction(2))
-
-    def timed():
-        from repro.systems.extensions import fischer_system
-
-        return fischer_system(params)
-
-    def lint_target():
-        from repro.lint.targets import SystemTarget
-
-        return SystemTarget(
-            name=parsed.name,
-            timed_automata=(("{}/(A,b)".format(parsed.name), timed()),),
-            waivers=(("R005", "'TRY_"), ("R005", "'EXIT_")),
-        )
-
-    def obligations():
-        from repro.analyze.obligations import _fischer_obligation
-
-        return [_fischer_obligation(parsed.name, params)]
-
-    def bounds():
-        from repro.analyze.composition import _fischer_bounds
-
-        return _fischer_bounds(parsed.name, params)
-
-    def perturb(direction, mode, seeds, steps, seed):
-        from repro.systems.extensions import fischer_system, mutual_exclusion_violated
-
-        # Above n = 3 the full sweep is out of reach (~78 ms/node, 5^n
-        # growth); the battery degrades to a *bounded* sweep — reported
-        # inconclusive so nothing partial is ever cached as settled —
-        # plus the seeded adversarial runs.
-        full = n <= 3
-        return _safety_battery(
-            timed=timed(),
-            predicate=mutual_exclusion_violated,
-            describe="mutual exclusion violated",
-            description="generated Fischer mutex (n={}, a=1, b=2): {}".format(
-                n,
-                "full zone safety sweep"
-                if full
-                else "bounded zone sweep + adversarial runs",
-            ),
-            max_nodes=200_000 if full else 120,
-            conclusive=full,
-            direction=direction,
-            mode=mode,
-            seeds=seeds,
-            steps=steps,
-            seed=seed,
-        )
-
-    return Bundle(
-        name=parsed.name,
-        family="fischer",
-        params=parsed.params_dict(),
-        description="Fischer mutual exclusion with {} processes "
-        "(set within [0, 1], check within [2, 4])".format(n),
-        timed_factory=timed,
-        system_factory=lambda: params,
-        max_states=max(4_000, 200 * 4 ** (n - 2)),
-        grid=None,
-        horizon=None,
-        mappings_factory=None,
-        lint_target_factory=lint_target,
-        obligations_factory=obligations,
-        bounds_factory=bounds,
-        tolerance=Fraction(params.b - params.a, params.a + params.b),
-        perturb_direction="widen",
-        perturb_builder=perturb,
-    )
-
-
-# ----------------------------------------------------------------------
-# relay_line(k) — the paper's Section 6 relay at arbitrary length
-# ----------------------------------------------------------------------
-
-
-def _relay_line_bundle(parsed: GenName) -> Bundle:
-    k = parsed.params[0]
-
-    def system():
-        from repro.systems import RelayParams, RelaySystem
-
-        return RelaySystem(RelayParams(n=k, d1=_HOP.lo, d2=_HOP.hi))
-
-    def mappings():
-        from repro.systems import relay_hierarchy
-
-        chain = relay_hierarchy(system())
-        return [
-            ("relay[{}]".format(level), mapping)
-            for level, mapping in enumerate(chain)
-        ]
-
-    def lint_target():
-        from repro.lint.targets import SystemTarget
-        from repro.systems import relay_hierarchy
-
-        sys = system()
-        return SystemTarget(
-            name=parsed.name,
-            timed_automata=(
-                ("{}/(A,b)".format(parsed.name), sys.timed),
-                ("{}/(A~,b~)".format(parsed.name), sys.dummified),
-            ),
-            condition_sets=(
-                (
-                    "{}/requirements".format(parsed.name),
-                    sys.dummified.automaton,
-                    (sys.requirement,),
-                ),
-            ),
-            chains=(("{}/hierarchy".format(parsed.name), relay_hierarchy(sys)),),
-            waivers=(("R005", "'SIGNAL_0'"),),
-        )
-
-    def obligations():
-        from repro.analyze.obligations import _relay_obligations
-
-        return _relay_obligations(parsed.name, system())
-
-    def bounds():
-        from repro.analyze.composition import _relay_bounds
-
-        return _relay_bounds(parsed.name, system())
-
-    def perturb(*battery):
-        from repro.faults.targets import _relay_builder
-
-        return _relay_builder(system(), *battery)
-
-    return Bundle(
-        name=parsed.name,
-        family="relay_line",
-        params=parsed.params_dict(),
-        description="Section 6 signal relay as a {}-stage line "
-        "(hop bound [1, 2], end-to-end [{}, {}])".format(k, k, 2 * k),
-        timed_factory=lambda: system().timed,
-        system_factory=system,
-        max_states=4_000,
-        grid=Fraction(1, 2),
-        horizon=Fraction(k + 2),
-        mappings_factory=mappings,
-        lint_target_factory=lint_target,
-        obligations_factory=obligations,
-        bounds_factory=bounds,
-        tolerance=Fraction(_HOP.hi - _HOP.lo, _HOP.lo + _HOP.hi),
-        requirements_factory=lambda: (system().requirement,),
-        perturb_direction="tighten",
-        perturb_builder=perturb,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -399,11 +243,7 @@ def _ring_battery(k: int, direction, mode, seeds, steps, seed):
         ]
         return _run_checks(checks, budget)
 
-    description = (
-        "generated token ring (k={}, hop [1, 2]): exact zone lap/arrival "
-        "bounds plus Lemma 2.1 acceptance".format(k)
-    )
-    return description, Fraction(1), evaluate
+    return evaluate
 
 
 # ----------------------------------------------------------------------
@@ -652,205 +492,50 @@ def _tree_battery(depth: int, fanout: int, direction, mode, seeds, steps, seed):
         ]
         return _run_checks(checks, budget)
 
-    description = (
-        "generated broadcast tree (depth {}, fanout {}): Lemma 2.1 on the "
-        "tree plus the full chain battery on its path spine".format(depth, fanout)
-    )
-    return description, Fraction(1), evaluate
-
-
-# ----------------------------------------------------------------------
-# tournament(width)
-# ----------------------------------------------------------------------
-
-
-def _tournament_bundle(parsed: GenName) -> Bundle:
-    from repro.systems.extensions import TournamentParams
-
-    width = parsed.params[0]
-    params = TournamentParams(n=width, s1=Fraction(1), s2=Fraction(2))
-
-    def timed():
-        from repro.systems.extensions import tournament_system
-
-        return tournament_system(params)
-
-    def lint_target():
-        from repro.lint.targets import SystemTarget
-
-        return SystemTarget(
-            name=parsed.name,
-            timed_automata=(("{}/(A,b)".format(parsed.name), timed()),),
-            waivers=(("R005", "'CS_"), ("R005", "'STEP_")),
-        )
-
-    def obligations():
-        from repro.analyze.obligations import _tournament_obligations
-
-        return _tournament_obligations(parsed.name, params)
-
-    def bounds():
-        from repro.analyze.composition import _tournament_bounds
-
-        return _tournament_bounds(parsed.name, params)
-
-    def perturb(direction, mode, seeds, steps, seed):
-        from repro.systems.extensions import (
-            tournament_mutex_violated,
-            tournament_system,
-        )
-
-        full = width <= 2
-        return _safety_battery(
-            timed=timed(),
-            predicate=tournament_mutex_violated,
-            describe="two processes critical",
-            description="generated tournament mutex (width {}): {}".format(
-                width,
-                "full zone safety sweep"
-                if full
-                else "bounded zone sweep + adversarial runs",
-            ),
-            max_nodes=200_000 if full else 400,
-            conclusive=full,
-            direction=direction,
-            mode=mode,
-            seeds=seeds,
-            steps=steps,
-            seed=seed,
-        )
-
-    return Bundle(
-        name=parsed.name,
-        family="tournament",
-        params=parsed.params_dict(),
-        description="tournament mutual exclusion bracket of width {} "
-        "({} levels, step bound [1, 2])".format(width, params.height),
-        timed_factory=timed,
-        system_factory=lambda: params,
-        max_states=max(4_000, 2_000 * width),
-        grid=None,
-        horizon=None,
-        mappings_factory=None,
-        lint_target_factory=lint_target,
-        obligations_factory=obligations,
-        bounds_factory=bounds,
-        tolerance=None,
-        perturb_direction="widen",
-        perturb_builder=perturb,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shared safety battery (fischer / tournament)
-# ----------------------------------------------------------------------
-
-
-def _safety_battery(
-    timed,
-    predicate,
-    describe,
-    description,
-    max_nodes,
-    conclusive,
-    direction,
-    mode,
-    seeds,
-    steps,
-    seed,
-):
-    """The widening battery: a zone safety sweep (full or deliberately
-    bounded) plus adversarial simulation runs whose visited states are
-    screened against the predicate.
-
-    A bounded sweep that runs out of nodes is reported ``ok`` but with
-    ``exhausted_budget`` set, so callers (and the verdict cache) treat
-    it as inconclusive rather than settled — ``search_reachable_state``
-    alone would report a truncated sweep as merely non-conclusive,
-    which the check layer would cache as a clean pass.
-    """
-    from repro.core.checker import CheckOutcome
-    from repro.core.time_automaton import time_of_boundmap
-    from repro.faults.perturb import Drift, perturb_boundmap
-    from repro.faults.targets import _adversarial_runs, _run_checks
-    from repro.zones.analysis import search_reachable_state
-
-    def evaluate(eps, budget):
-        perturbed = (
-            timed
-            if eps == 0
-            else perturb_boundmap(timed, Drift(eps, mode=mode, direction=direction))
-        )
-
-        def sweep():
-            result = search_reachable_state(
-                perturbed, predicate, max_nodes=max_nodes, budget=budget
-            )
-            if result.state is not None:
-                return CheckOutcome(
-                    False,
-                    result.nodes,
-                    "{}: state {!r} reachable".format(describe, result.state),
-                )
-            detail = (
-                "zone sweep clean over {} nodes".format(result.nodes)
-                if result.conclusive
-                else "bounded zone sweep inconclusive after {} nodes".format(
-                    result.nodes
-                )
-            )
-            return CheckOutcome(
-                True,
-                result.nodes,
-                detail,
-                exhausted_budget=not result.conclusive,
-            )
-
-        def run_screen():
-            runs = _adversarial_runs(
-                time_of_boundmap(perturbed), budget, seeds, steps, base=seed
-            )
-            scanned = 0
-            for run in runs:
-                for state in _run_states(run):
-                    scanned += 1
-                    if predicate(state):
-                        return CheckOutcome(
-                            False,
-                            scanned,
-                            "{}: reached in a simulated run".format(describe),
-                        )
-            return CheckOutcome(
-                True, scanned, "no violation in {} visited states".format(scanned)
-            )
-
-        checks = [("zone safety sweep", sweep)]
-        if not conclusive:
-            checks.append(("adversarial run screen", run_screen))
-        return _run_checks(checks, budget)
-
-    return description, Fraction(1), evaluate
-
-
-def _run_states(run) -> List[Any]:
-    """The untimed states a simulated run visited (each
-    :class:`~repro.core.time_state.TimeState` wraps the base state as
-    ``astate``)."""
-    states = run.states() if callable(run.states) else run.states
-    return [getattr(tstate, "astate", tstate) for tstate in states]
+    return evaluate
 
 
 # ----------------------------------------------------------------------
 # Dispatch
 # ----------------------------------------------------------------------
 
+def _shipped_shape(build, describe: Callable[[Any], str]) -> Callable[[GenName], Bundle]:
+    """A family whose shape also ships: the shipped system's builder
+    (:mod:`repro.surface`) at the parsed size, labelled with the
+    family, its params and a description of its system."""
+
+    def builder(parsed: GenName) -> Bundle:
+        made = build(
+            parsed.name, *parsed.params, family=parsed.family, params=parsed.params_dict()
+        )
+        made.description = describe(made.system())
+        return made
+
+    return builder
+
+
 _BUILDERS: Dict[str, Callable[[GenName], Bundle]] = {
-    "fischer": _fischer_bundle,
-    "relay_line": _relay_line_bundle,
+    "fischer": _shipped_shape(
+        functools.partial(_fischer, b=Fraction(2)),
+        lambda params: "Fischer mutual exclusion with {} processes "
+        "(set within [0, 1], check within [2, 4])".format(params.n),
+    ),
+    "relay_line": _shipped_shape(
+        _relay,
+        lambda system: "Section 6 signal relay as a {0}-stage line "
+        "(hop bound [1, 2], end-to-end [{0}, {1}])".format(
+            system.params.n, 2 * system.params.n
+        ),
+    ),
     "relay_ring": _relay_ring_bundle,
     "relay_tree": _relay_tree_bundle,
-    "tournament": _tournament_bundle,
+    "tournament": _shipped_shape(
+        _tournament,
+        lambda params: "tournament mutual exclusion bracket of width {} "
+        "({} levels, step bound [1, 2])".format(params.n, params.height),
+    ),
 }
+
 
 @functools.lru_cache(maxsize=64)
 def build_bundle(name: str) -> Bundle:

@@ -10,7 +10,10 @@ bounds, requirements and waivers, ``check`` its automaton, exploration
 cap and mapping specs, ``perturb`` its battery, ``trace`` its runs.
 Generated ``gen:`` systems (:func:`repro.gen.families.build_bundle`)
 are bundles too, so :func:`bundle` serves both kinds of name and no
-consumer forks on which kind it holds.
+consumer forks on which kind it holds.  The relay, Fischer and
+tournament builders take the system's size, and the ``gen:`` families
+of the same shape call them at the parsed size: each shape is built
+in one place.
 
 Like :mod:`repro.catalog`, this module imports only the standard
 library and the catalog at module level, so naming a system loads no
@@ -61,12 +64,16 @@ class Bundle:
     requirements_factory: Callable[[], Tuple[Any, ...]] = tuple
     analyze_waivers: Tuple[Tuple[str, str], ...] = ()
     perturb_direction: str = "tighten"
-    #: ``(direction, mode, seeds, steps, seed) -> (description, ceiling,
-    #: evaluate)``: the perturb battery, ``check``'s at ``ε = 0``.
+    #: ``(direction, mode, seeds, steps, seed) -> evaluate``: the
+    #: perturb battery, ``check``'s at ``ε = 0``.
     perturb_builder: Optional[Callable] = None
     #: ``(description, predicate)`` of the states a safety system must
     #: never reach.
     violation: Optional[Tuple[str, Callable[[Any], bool]]] = None
+    #: Safety systems too big for a full zone sweep: the node cap of the
+    #: bounded sweep their battery runs instead, reported inconclusive
+    #: and backed by a screen of adversarial runs.
+    bounded_sweep: Optional[int] = None
     #: Generated systems: the family and its params.
     family: str = ""
     params: Dict[str, int] = field(default_factory=dict)
@@ -237,19 +244,21 @@ def _rm() -> Bundle:
     return rm
 
 
-def _relay() -> Bundle:
+def _relay(name: str, n: int, **fields) -> Bundle:
+    """The Section 6 relay with ``n`` stages of hop window [1, 2]."""
     from repro.systems import RelayParams, RelaySystem, relay_hierarchy
 
-    system = RelaySystem(RelayParams(n=3, d1=Fraction(1), d2=Fraction(2)))
+    system = RelaySystem(RelayParams(n=n, d1=Fraction(1), d2=Fraction(2)))
+
     def obligations():
         from repro.analyze.obligations import _relay_obligations
 
-        return _relay_obligations("relay", system)
+        return _relay_obligations(name, system)
 
     def bounds():
         from repro.analyze.composition import _relay_bounds
 
-        return _relay_bounds("relay", system)
+        return _relay_bounds(name, system)
 
     def perturb(*battery):
         from repro.faults.targets import _relay_builder
@@ -257,11 +266,11 @@ def _relay() -> Bundle:
         return _relay_builder(system, *battery)
 
     relay = Bundle(
-        name="relay",
+        name=name,
         timed_factory=lambda: system.timed,
         system_factory=lambda: system,
         grid=Fraction(1, 2),
-        horizon=Fraction(5),
+        horizon=Fraction(n + 2),
         mappings_factory=lambda: _levels("relay", relay_hierarchy(system)),
         lint_target_factory=lambda: _lint_target(
             relay, dummified=system.dummified, waivers=(("R005", "'SIGNAL_0'"),)
@@ -271,6 +280,7 @@ def _relay() -> Bundle:
         tolerance=_ratio(system.params.d1, system.params.d2),
         requirements_factory=lambda: (system.requirement,),
         perturb_builder=perturb,
+        **fields
     )
     return relay
 
@@ -319,10 +329,9 @@ def _chain() -> Bundle:
     return chain
 
 
-def _mutex(name, params, timed, violation, obligations, bounds, waivers, description,
-           tolerance=None) -> Bundle:
+def _mutex(name, record, timed, violation, obligations, bounds, waivers, **fields) -> Bundle:
     """A mutual-exclusion system: zone-only (no mappings), its params
-    record as its system, stressed by widening its clocks."""
+    ``record`` as its system, stressed by widening its clocks."""
 
     def perturb(*battery):
         from repro.faults.targets import _safety_builder
@@ -331,24 +340,25 @@ def _mutex(name, params, timed, violation, obligations, bounds, waivers, descrip
 
     mutex = Bundle(
         name=name,
-        description=description,
         timed_factory=timed,
-        system_factory=lambda: params,
+        system_factory=lambda: record,
         lint_target_factory=lambda: _lint_target(mutex, waivers=waivers),
         obligations_factory=obligations,
         bounds_factory=bounds,
-        tolerance=tolerance,
         perturb_direction="widen",
         perturb_builder=perturb,
         violation=violation,
+        **fields
     )
     return mutex
 
 
-def _fischer(name: str, b: Fraction) -> Bundle:
+def _fischer(name: str, n: int, b: Fraction, **fields) -> Bundle:
+    """Fischer's mutex over ``n`` processes, set within [0, 1] and
+    check after ``b``."""
     from repro.systems.extensions import FischerParams, fischer_system, mutual_exclusion_violated
 
-    params = FischerParams(n=2, a=Fraction(1), b=b)
+    params = FischerParams(n=n, a=Fraction(1), b=b)
 
     def obligations():
         from repro.analyze.obligations import _fischer_obligation
@@ -368,9 +378,12 @@ def _fischer(name: str, b: Fraction) -> Bundle:
         obligations,
         bounds,
         waivers=(("R005", "'TRY_"), ("R005", "'EXIT_")),
-        description="Fischer mutex (n={}, a={}, b={}): timed safety, breaks at "
-        "eps = (b-a)/(a+b)".format(params.n, params.a, params.b),
         tolerance=_ratio(params.a, params.b),
+        max_states=max(4_000, 200 * 4 ** (n - 2)),
+        # Above n = 3 a full zone sweep is out of reach (~78 ms/node,
+        # 5^n growth).
+        bounded_sweep=None if n <= 3 else 120,
+        **fields
     )
 
 
@@ -397,40 +410,40 @@ def _peterson() -> Bundle:
         obligations,
         bounds,
         waivers=(("R005", "'CS_"),),
-        description="Peterson mutex (s1={}, s2={}): untimed argument, tolerates "
-        "any drift".format(params.s1, params.s2),
     )
 
 
-def _tournament() -> Bundle:
+def _tournament(name: str, width: int, **fields) -> Bundle:
+    """The tournament mutex bracket over ``width`` processes."""
     from repro.systems.extensions import (
         TournamentParams,
         tournament_mutex_violated,
         tournament_system,
     )
 
-    params = TournamentParams(n=2, s1=Fraction(1), s2=Fraction(2))
+    params = TournamentParams(n=width, s1=Fraction(1), s2=Fraction(2))
 
     def obligations():
         from repro.analyze.obligations import _tournament_obligations
 
-        return _tournament_obligations("tournament", params)
+        return _tournament_obligations(name, params)
 
     def bounds():
         from repro.analyze.composition import _tournament_bounds
 
-        return _tournament_bounds("tournament", params)
+        return _tournament_bounds(name, params)
 
     return _mutex(
-        "tournament",
+        name,
         params,
         lambda: tournament_system(params),
         ("two processes critical", tournament_mutex_violated),
         obligations,
         bounds,
-        waivers=(("R005", "'CS_"),),
-        description="tournament mutex (n={}, s1={}, s2={}): untimed argument, "
-        "tolerates any drift".format(params.n, params.s1, params.s2),
+        waivers=(("R005", "'CS_"), ("R005", "'STEP_")),
+        max_states=max(4_000, 2_000 * width),
+        bounded_sweep=None if width <= 2 else 400,
+        **fields
     )
 
 
@@ -470,12 +483,12 @@ def _interrupt() -> Bundle:
 #: then the lint-only systems.
 _SYSTEMS: Dict[str, Callable[[], Bundle]] = {
     "rm": _rm,
-    "relay": _relay,
+    "relay": lambda: _relay("relay", 3),
     "chain": _chain,
-    "fischer": lambda: _fischer("fischer", b=Fraction(2)),
-    "fischer-tight": lambda: _fischer("fischer-tight", b=Fraction(1)),
+    "fischer": lambda: _fischer("fischer", 2, Fraction(2)),
+    "fischer-tight": lambda: _fischer("fischer-tight", 2, Fraction(1)),
     "peterson": _peterson,
-    "tournament": _tournament,
+    "tournament": lambda: _tournament("tournament", 2),
     "request-grant": _request_grant,
     "interrupt": _interrupt,
 }

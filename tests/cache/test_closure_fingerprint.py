@@ -87,6 +87,11 @@ class TestClosureContents:
         mods = dependency_closure("check", "gen:fischer-3")
         assert any(m.startswith("repro.gen") for m in mods)
         assert "repro.systems.extensions.fischer" in mods
+        # Three families are built by the shipped builders in
+        # repro.surface: their system modules key every gen: verdict.
+        assert "repro.systems.extensions.tournament" in mods
+        assert "repro.systems.signal_relay" in mods
+        assert "repro.systems.mappings_relay" in mods
         assert mods == dependency_closure("check", "gen:relay_line-4")
 
     def test_kind_and_seed_maps_name_real_modules(self):
@@ -114,6 +119,17 @@ class TestInvalidation:
         before = closure_fingerprint("check", "rm", _pristine_copy(tmp_path))
         after = closure_fingerprint(
             "check", "rm", _edited_copy(tmp_path, "systems/resource_manager.py")
+        )
+        assert before != after
+
+    def test_edit_family_system_module_moves_gen_fingerprint(self, tmp_path):
+        before = closure_fingerprint(
+            "check", "gen:tournament-2", _pristine_copy(tmp_path)
+        )
+        after = closure_fingerprint(
+            "check",
+            "gen:tournament-2",
+            _edited_copy(tmp_path, "systems/extensions/tournament.py"),
         )
         assert before != after
 

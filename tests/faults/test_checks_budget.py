@@ -157,3 +157,17 @@ class TestZoneBudget:
             self._rm(), GRANT, budget=Budget(max_states=2000)
         )
         assert bounds.exhausted_budget in (True, False)  # never raises
+
+    def test_safety_check_cut_at_max_nodes_is_inconclusive(self):
+        # A sweep cut at its node cap proves nothing: it must come back
+        # partial, or a caller would cache it as a settled pass.
+        from repro.faults.checks import safety_check
+        from repro.surface import bundle
+        from repro.systems.extensions import mutual_exclusion_violated
+
+        outcome = safety_check(
+            bundle("gen:fischer-4").timed(), mutual_exclusion_violated, max_nodes=50
+        )
+        assert outcome.ok
+        assert outcome.exhausted_budget and not outcome.conclusive
+        assert outcome.detail == "safety sweep inconclusive (truncated at 50 nodes)"

@@ -49,7 +49,7 @@ def fresh_automaton(name):
     """A newly built instance with an empty memo (bundles are memoised
     per process, so their shared automaton may be warm)."""
     if is_gen_name(name):
-        return build_bundle(name).timed_factory().automaton
+        return build_bundle.__wrapped__(name).timed().automaton
     return _SYSTEMS[name]().timed().automaton
 
 

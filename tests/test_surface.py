@@ -1,7 +1,11 @@
 """The system table (:mod:`repro.surface`): one memoised bundle per name,
-shared by every consumer in the process, so no consumer may change it."""
+shared by every consumer in the process, so no consumer may change it;
+and one builder per system shape, so a shipped system and its ``gen:``
+twin give the same verdicts."""
 
 import copy
+import json
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -78,7 +82,9 @@ def _consume(name):
         trace_system(name, steps=20)
 
 
-@pytest.mark.parametrize("name", list(_SYSTEMS) + ["gen:relay_line-3"])
+@pytest.mark.parametrize(
+    "name", list(_SYSTEMS) + ["gen:relay_line-3", "gen:fischer-4", "gen:tournament-2"]
+)
 def test_consumers_leave_the_shared_bundle_unchanged(name):
     system = bundle(name)
     _force(system)
@@ -99,3 +105,76 @@ def test_unknown_and_lint_only_names_are_refused():
 def test_interrupt_reuses_the_resource_managers_parameters():
     assert bundle("interrupt").system() is bundle("rm").system().params
 
+
+
+#: Shipped systems and the family member of the same shape and size.
+TWINS = [
+    ("relay", "gen:relay_line-3"),
+    ("fischer", "gen:fischer-2"),
+    ("tournament", "gen:tournament-2"),
+]
+
+
+def _masked(name, text):
+    """``text`` with the system's own name (a JSON value, a location
+    prefix, a report heading) replaced by a placeholder."""
+    return re.sub(r'(?<=["\[ ]){}(?=["/:])'.format(re.escape(name)), "<system>", text)
+
+
+def _report(kind, name, capsys):
+    from repro.cli import main
+
+    assert main([kind, name, "--json", "--no-cache"]) == 0
+    entry = json.loads(capsys.readouterr().out)
+    entry.pop("wall", None)
+    return _masked(name, json.dumps(entry, sort_keys=True))
+
+
+def _battery(name):
+    from repro.faults import build_perturb_target
+
+    target = build_perturb_target(name, seeds=1, steps=30)
+    outcomes = [target.evaluate(eps) for eps in (Fraction(0), Fraction(1, 2))]
+    search = vars(target.search(resolution=Fraction(1, 8))).copy()
+    search.pop("system")
+    return _masked(
+        name,
+        repr(
+            [(o.ok, o.conclusive, o.steps_checked, o.detail) for o in outcomes]
+            + [sorted(search.items())]
+        ),
+    )
+
+
+@pytest.mark.parametrize("shipped, generated", TWINS)
+def test_shipped_system_and_its_family_twin_agree(shipped, generated, capsys):
+    for kind in ("lint", "analyze", "check"):
+        assert _report(kind, shipped, capsys) == _report(kind, generated, capsys), kind
+    assert _battery(shipped) == _battery(generated)
+
+
+def test_relay_line_facts_share_one_system(monkeypatch):
+    from repro.gen.families import _BUILDERS
+    from repro.gen.names import parse
+    from repro.systems import RelaySystem
+
+    built = []
+    init = RelaySystem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RelaySystem, "__init__", counting)
+    relay = _BUILDERS["relay_line"](parse("gen:relay_line-3"))
+    system = relay.system()
+    assert relay.timed() is system.timed
+    target = relay.lint_target()
+    assert [automaton for _, automaton in target.timed_automata] == [
+        system.timed,
+        system.dummified,
+    ]
+    assert relay.mappings()[0][1].source is system.algorithm
+    evaluate = relay.perturb_builder("tighten", "scale", 1, 20, 0)
+    assert evaluate(Fraction(0), None).ok
+    assert built == [system]
