@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Chaos test for the serving daemon (`python -m repro serve`).
 
-Asserts the four fault-tolerance guarantees docs/serving.md promises,
+Asserts the five fault-tolerance guarantees docs/serving.md promises,
 end to end over real HTTP against real daemon processes:
 
 A. **kill -9 loses nothing** — a daemon under concurrent load is
@@ -18,6 +18,11 @@ D. **malformed params are refused at admission** — on one keep-alive
    connection, requests whose param values fail their kind's
    validators (``repro.catalog.KIND_SPECS``) get a 400 body, spawn no
    attempt, and leave the connection serving the next valid request.
+E. **no process outlives the daemon** — each daemon leads its own
+   process group, which holds the attempt forkserver once an isolated
+   attempt has run; 2 s after a SIGTERM drain no process of the group
+   is alive, and after a kill -9 the forkserver exits too once its
+   parent is gone.
 
 Run from the repo root (CI's serve-smoke job does):
 
@@ -67,6 +72,7 @@ class Daemon:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
+            start_new_session=True,  # its own process group
         )
         line = self.proc.stdout.readline()
         if "serving on" not in line:
@@ -108,6 +114,47 @@ class Daemon:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait()
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except OSError:  # the group is already empty
+            pass
+
+
+def live_group_members(pgid):
+    """Pids of the processes of group ``pgid`` that are alive (zombies
+    wait only for a reaper), or ``None`` where there is no ``/proc``."""
+    if not os.path.isdir("/proc/self"):
+        return None
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def group_empty_within(pgid, grace_s):
+    """True once no process of group ``pgid`` is alive, polling up to
+    ``grace_s`` seconds."""
+    deadline = time.monotonic() + grace_s
+    while True:
+        members = live_group_members(pgid)
+        if members is None:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                return True
+        elif not members:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
 
 
 def scenario_crash_recovery(root):
@@ -313,6 +360,39 @@ def scenario_param_validation(root):
         daemon.stop()
 
 
+def scenario_no_process_left(root):
+    """E: the forkserver and its attempts go when the daemon goes."""
+    print("--- scenario E: no process outlives the daemon")
+    for how in ("drain", "kill -9"):
+        workdir = os.path.join(root, "e-" + how.replace(" ", ""))
+        os.makedirs(workdir)
+        daemon = Daemon(workdir, "--workers", "1", "--journal", "j.jsonl")
+        group = daemon.proc.pid
+        try:
+            status, doc, _ = daemon.request("POST", "/v1/jobs", {"kind": "analyze", "system": "rm"})
+            check(status == 202, "cold job queued for an isolated attempt (got {})".format(status))
+            doc = daemon.wait_done(doc["job_id"])
+            check(doc["result"]["ok"], "isolated attempt answered ok")
+            members = live_group_members(group)
+            if members is not None:
+                check(
+                    len(members) >= 2,
+                    "the daemon's group holds the forkserver too ({} live)".format(len(members)),
+                )
+            if how == "drain":
+                code = daemon.sigterm()
+                check(code == 0, "drain exits 0 (got {})".format(code))
+            else:
+                daemon.sigkill()
+            check(
+                group_empty_within(group, 2.0),
+                "no process of the daemon's group alive 2s after {} (left: {})".format(
+                    how, live_group_members(group)),
+            )
+        finally:
+            daemon.stop()
+
+
 def main():
     root = tempfile.mkdtemp(prefix="repro-serve-chaos-", dir=os.getcwd())
     try:
@@ -320,6 +400,7 @@ def main():
         scenario_circuit_breaker(root)
         scenario_deadlines(root)
         scenario_param_validation(root)
+        scenario_no_process_left(root)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     if FAILURES:

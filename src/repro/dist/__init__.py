@@ -1,6 +1,6 @@
 """repro.dist — fault-tolerant multi-host campaign distribution.
 
-Lifts :mod:`repro.runner` from a single-host spawn pool to a
+Lifts :mod:`repro.runner` from a single-host process pool to a
 coordinator + N remote workers over a length-prefixed JSON socket
 transport (stdlib-only, the same spirit as :mod:`repro.serve`):
 

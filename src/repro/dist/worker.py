@@ -6,8 +6,8 @@ serves coordinators one connection at a time.  Per session it:
 1. answers the coordinator's ``hello`` with a ``register`` frame
    (worker id, hostname, pid — the identity every ledger entry and
    result it produces is stamped with);
-2. executes ``assign`` frames one job at a time, each attempt in a
-   **spawn-isolated subprocess** with a wall-clock watchdog (the same
+2. executes ``assign`` frames one job at a time, each attempt in an
+   **isolated subprocess** with a wall-clock watchdog (the same
    crash/hang containment ``repro run`` gives local jobs; ``--inline``
    trades that isolation for speed in benchmarks and tests);
 3. **heartbeats** the job's lease from a background thread while the
@@ -52,8 +52,8 @@ EXIT_DIST_TRANSPORT = 5
 class DistWorker:
     """One remote worker daemon: listen, register, execute, heartbeat.
 
-    ``isolation=True`` (the daemon default) runs every attempt in a
-    spawned subprocess with a watchdog; ``isolation=False`` executes
+    ``isolation=True`` (the daemon default) runs every attempt in an
+    isolated subprocess with a watchdog; ``isolation=False`` executes
     attempts inline in this process — no hang protection, for tests
     and throughput benchmarks.  ``chaos`` takes a
     :class:`~repro.dist.netfaults.FaultPlan` applied to this worker's

@@ -7,11 +7,13 @@ results (``python -m repro run``):
 
 - :mod:`repro.runner.jobs` — the serializable :class:`Job` catalog and
   in-process execution;
-- :mod:`repro.runner.worker` — the spawned-subprocess entry point and
+- :mod:`repro.runner.worker` — the attempt-subprocess entry point and
   chaos self-test modes;
+- :mod:`repro.runner.preload` — what the attempt forkserver hashes and
+  imports once, before it forks any attempt;
 - :mod:`repro.runner.attempts` — the attempt automaton every transport
   shares: classification, retry/backoff, budget escalation, quarantine;
-- :mod:`repro.runner.supervisor` — spawn-isolated local workers under
+- :mod:`repro.runner.supervisor` — isolated local workers under
   watchdogs;
 - :mod:`repro.runner.ledger` — the JSONL checkpoint ledger behind
   ``repro run --resume``;

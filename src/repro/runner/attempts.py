@@ -23,9 +23,12 @@ and a counter prefix (``runner.``, ``dist.``, ``serve.``):
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing import forkserver, util
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs import instrument as _telemetry
@@ -55,7 +58,27 @@ KILL_GRACE_S = 0.5
 #: Seconds a worker that delivered its payload gets to exit on its own.
 EXIT_GRACE_S = 5.0
 
-_SPAWN = multiprocessing.get_context("spawn")
+
+def _attempt_context():
+    """Where isolated attempts run: a *forkserver* that has imported the
+    job modules once (:mod:`repro.runner.preload`), started lazily by
+    the first attempt, or fresh *spawn* interpreters on a platform
+    without one."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.runner.preload"])
+    return context
+
+
+_CONTEXT = _attempt_context()
+
+#: Serialises attempt starts with :func:`_retire_forkserver`, which
+#: closes the descriptor a start sends to the forkserver.
+_START_LOCK = threading.Lock()
+
+#: Pids of retired forkservers not yet reaped.
+_RETIRED: List[int] = []
 
 #: Per-class counters, bumped under the transport's prefix.
 _CLASS_COUNTERS = {
@@ -148,7 +171,7 @@ def attempt_body(
     params["budget_scale"] = budget_scale
     params["timeout"] = timeout
     # The campaign-wide cache choice travels as a job param so it
-    # survives the spawn boundary.
+    # survives the process boundary.
     if cache is not None:
         params["cache"] = cache
     body["params"] = params
@@ -345,21 +368,72 @@ class Bookkeeper:
 
 
 def spawn_attempt(body: Dict[str, Any], attempt: int):
-    """Start one attempt in a fresh interpreter (``multiprocessing``
-    *spawn*): returns ``(process, queue)`` for :func:`attempt_ready`
-    and :func:`collect`."""
+    """Start one attempt in its own process: forked from the forkserver,
+    whose preload already imported the job modules (*spawn*, a fresh
+    interpreter, where there is no forkserver).  Returns ``(process,
+    queue)`` for :func:`attempt_ready` and :func:`collect`.
+
+    The child takes this process's environment as it is now, not as it
+    was when the forkserver started.  Its code is the package as the
+    forkserver imported it: frozen, so a verdict it computes after its
+    sources changed on disk comes back marked ``stale_code`` and is
+    never stored (:func:`repro.runner.jobs.execute_job`), and
+    :func:`collect` retires the forkserver so that the next attempt
+    forks from one that imported the new code."""
     from repro.runner.worker import worker_main
 
-    queue = _SPAWN.SimpleQueue()
-    process = _SPAWN.Process(
-        target=worker_main, args=(body, attempt, queue), daemon=True
+    queue = _CONTEXT.SimpleQueue()
+    process = _CONTEXT.Process(
+        target=worker_main, args=(body, attempt, queue, dict(os.environ)), daemon=True
     )
-    process.start()
+    with _START_LOCK:
+        process.start()
     # The child holds its own copy of the write end.  Dropping ours
     # turns a worker that dies mid-payload into EOF instead of a read
     # that waits forever for the rest of the message.
     queue._writer.close()
     return process, queue
+
+
+def _retire_forkserver() -> None:
+    """Detach the running forkserver, so the next attempt starts one
+    that scans and imports the package afresh.  The old server exits
+    by itself once the attempts it forked are gone (each holds its end
+    of the server's "alive" pipe); its pid is reaped by a later retire
+    or at exit."""
+    if _CONTEXT.get_start_method() != "forkserver":
+        return
+    server = forkserver._forkserver
+    with _START_LOCK, server._lock:
+        if server._forkserver_pid is None:
+            return
+        os.close(server._forkserver_alive_fd)
+        _RETIRED.append(server._forkserver_pid)
+        server._forkserver_pid = None
+        server._forkserver_alive_fd = None
+        server._forkserver_address = None
+    _reap(os.WNOHANG)
+
+
+def _reap(options: int) -> None:
+    for pid in list(_RETIRED):
+        try:
+            done = os.waitpid(pid, options)[0]
+        except ChildProcessError:
+            done = pid
+        if done:
+            _RETIRED.remove(pid)
+
+
+def _stop_forkservers() -> None:
+    """At exit, after ``multiprocessing`` has ended this process's
+    attempts: retire the forkserver and wait for it and any earlier
+    one, so none outlives this process."""
+    _retire_forkserver()
+    _reap(0)
+
+
+util.Finalize(None, _stop_forkservers, exitpriority=-1)
 
 
 def attempt_ready(process, queue, timeout: float = 0.0) -> bool:
@@ -377,10 +451,10 @@ def attempt_ready(process, queue, timeout: float = 0.0) -> bool:
 
 
 def collect(process, queue, timed_out: bool) -> Optional[Dict[str, Any]]:
-    """Reap a spawned attempt that is ready (:func:`attempt_ready`) or
-    overdue: unless ``timed_out``, read its payload first (``None``
-    when it died without one), then end the process, killing it when
-    it does not exit on its own."""
+    """Reap an attempt that is ready (:func:`attempt_ready`) or overdue:
+    unless ``timed_out``, read its payload first (``None`` when it died
+    without one), then end the process, killing it when it does not
+    exit on its own.  A ``stale_code`` payload retires the forkserver."""
     payload = None
     if not timed_out:
         try:
@@ -395,11 +469,13 @@ def collect(process, queue, timed_out: bool) -> Optional[Dict[str, Any]]:
             process.kill()
             process.join(1.0)
     queue.close()
+    if isinstance(payload, dict) and payload.get("stale_code"):
+        _retire_forkserver()
     return payload
 
 
 def run_isolated(body: Dict[str, Any], attempt: int, watchdog_s: float):
-    """One spawned attempt under a ``watchdog_s`` watchdog: returns
+    """One isolated attempt under a ``watchdog_s`` watchdog: returns
     ``(payload_or_None, timed_out)``."""
     process, queue = spawn_attempt(body, attempt)
     timed_out = not attempt_ready(process, queue, watchdog_s)

@@ -5,8 +5,9 @@ one zone build hangs, one result gets garbled — and a campaign that
 dies with them wastes everything already proved.  The
 :class:`Supervisor` makes the fleet survive its members:
 
-- every job runs in a **spawned subprocess** (fresh interpreter; a
-  worker can die arbitrarily without touching the supervisor);
+- every attempt runs in **its own subprocess**, forked from a
+  forkserver that preloaded the job modules (a worker can die
+  arbitrarily without touching the supervisor);
 - every attempt has a **wall-clock watchdog**; an overdue worker is
   killed and the attempt classified ``timeout``;
 - every attempt is **classified and settled** by

@@ -1,11 +1,16 @@
 """The crash-isolated side of a supervised campaign.
 
-:func:`worker_main` is the sole entry point a worker subprocess runs
-(``multiprocessing`` *spawn* context: a fresh interpreter, no inherited
-engine state, so one worker's segfault or runaway recursion cannot
-corrupt its siblings or the supervisor).  It executes one job via
-:func:`repro.runner.jobs.execute_job` and ships the result payload back
-over a queue.
+:func:`worker_main` is the sole entry point a worker subprocess runs.
+Each attempt is its own process, forked from a ``multiprocessing``
+*forkserver* that imported the job modules once and built nothing
+(:mod:`repro.runner.preload`; a fresh *spawn* interpreter where there
+is no forkserver), so one worker's segfault or runaway recursion cannot
+corrupt its siblings or the supervisor, and no engine state is carried
+over between attempts.  The forkserver's code is frozen when it
+starts: a verdict computed after a source file of its closure changed
+on disk is marked ``stale_code`` and never stored.  The worker executes
+one job via :func:`repro.runner.jobs.execute_job` and ships the result
+payload back over a queue.
 
 Chaos self-test modes (``--chaos``) are injected *here*, below the
 supervisor's recovery machinery, so the recovery paths are proven
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.runner.jobs import Job, execute_job
 
@@ -36,14 +41,25 @@ __all__ = ["worker_main", "CRASH_EXIT_CODE"]
 CRASH_EXIT_CODE = 23
 
 
-def worker_main(job_body: Dict[str, Any], attempt: int, queue) -> None:
+def worker_main(
+    job_body: Dict[str, Any],
+    attempt: int,
+    queue,
+    environ: Optional[Dict[str, str]] = None,
+) -> None:
     """Run one job and put the result payload on ``queue``.
 
-    ``job_body`` is ``Job.to_dict()`` output (plain JSON — spawn
-    pickles only builtins this way).  Exceptions never propagate:
-    :func:`execute_job` converts them into failing payloads, so a
-    worker that *exits* without a payload really did die abnormally.
+    ``job_body`` is ``Job.to_dict()`` output (plain JSON — only
+    builtins cross the process boundary).  ``environ`` replaces the
+    environment the worker inherited: a forkserver's is the one its
+    parent had when the forkserver started.  Exceptions never
+    propagate: :func:`execute_job` converts them into failing payloads,
+    so a worker that *exits* without a payload really did die
+    abnormally.
     """
+    if environ is not None:
+        os.environ.clear()
+        os.environ.update(environ)
     job = Job.from_dict(job_body)
     if job.chaos and attempt == 0:
         if job.chaos == "crash":

@@ -1,6 +1,8 @@
 """The wire protocol: routes, status codes, headers, JSON bodies."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -179,3 +181,22 @@ def test_stats_over_http(daemon):
     assert stats["queue"]["accepted"] == 1
     assert stats["backend"].startswith("sqlite:")
     assert stats["telemetry"]["counters"]["serve.completed"] == 1
+
+
+def test_keep_alive_exchanges_do_not_stall(daemon):
+    # Nagle's algorithm on the server socket held each response body
+    # back for the client's delayed ACK: 40+ ms per keep-alive exchange.
+    _, request = daemon
+    port = int(request.base.rsplit(":", 1)[1])
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+    try:
+        walls = []
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", "/v1/healthz")
+            response = conn.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
+            walls.append(time.perf_counter() - start)
+    finally:
+        conn.close()
+    assert statistics.median(walls) < 0.020, walls
