@@ -114,7 +114,7 @@ class JournalState:
         return not self.pending
 
 
-def load_journal(path: str) -> Optional[JournalState]:
+def load_journal(path: str, job_id: Optional[str] = None) -> Optional[JournalState]:
     """Parse a request journal back into recoverable state.
 
     Returns ``None`` when the journal does not exist (a fresh daemon).
@@ -122,11 +122,19 @@ def load_journal(path: str) -> Optional[JournalState]:
     kinds are skipped so future shapes stay additive.  Unlike a
     campaign ledger, a journal spans daemon *generations*: every
     restart appends a new ``serve-start`` and keeps the file.
+
+    With ``job_id``, only the lines that mention it are parsed: the
+    state of that one job, for a poll of a finished job the daemon no
+    longer keeps in memory.
     """
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        entries = ledger_entries_from_jsonl(fh.read())
+        if job_id is None:
+            text = fh.read()
+        else:
+            text = "".join(line for line in fh if job_id in line)
+        entries = ledger_entries_from_jsonl(text)
     state = JournalState()
     for entry in entries:
         kind = entry.get("kind")

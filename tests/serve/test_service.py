@@ -232,6 +232,26 @@ def test_stats_shape(service):
     assert not stats["draining"]
 
 
+def test_finished_jobs_beyond_the_window_are_read_from_the_journal(
+    service, monkeypatch
+):
+    from repro.serve import app
+
+    monkeypatch.setattr(app, "KEPT_FINISHED_JOBS", 2)
+    status, body = service.submit({"kind": "analyze", "system": "rm"})
+    first = wait_done(service, body["job_id"])
+    warm = [service.submit({"kind": "analyze", "system": "rm"})[1] for _ in range(3)]
+    assert len(service.jobs) == 2
+    assert set(service.jobs) == {warm[1]["job_id"], warm[2]["job_id"]}
+    # The dropped jobs answer as a restarted daemon would: the
+    # journaled request and result, without the attempt history.
+    old = service.get_job(body["job_id"])
+    assert old["state"] == "done" and old["result"] == first["result"]
+    assert service.get_job(warm[0]["job_id"])["result"] == warm[0]["result"]
+    assert service.get_job("sv-nope") is None
+    assert service.stats()["jobs"] == {"done": 4}
+
+
 def test_kill_and_replay_recovers_accepted_jobs(tmp_path):
     # Generation 1 accepts work and "dies" (journal never drained,
     # pool never ran).
