@@ -5,7 +5,10 @@ per settled verdict, written atomically (temp file + ``os.replace``) so
 concurrent writers — campaign workers share the directory — can only
 ever race to write *identical* content.  Entries are self-describing
 (:func:`repro.serialize.cache_entry_to_json`); anything torn, stale or
-misfiled reads as a miss and is recomputed, never trusted.
+misfiled reads as a miss and is recomputed, never trusted.  Beside the
+entries, ``<root>/v1/scan.json`` memoises the package's module scan,
+so that a warm process hashes only the source files that changed
+(:func:`repro.cache.fingerprint.verdict_key`'s ``memo``).
 
 What gets cached is a policy of the callers, with two hard rules
 enforced here: only plain-JSON payloads, and only under a real key from
@@ -53,6 +56,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: from a fresh namespace instead of tripping over old entries.
 _VERSION_DIR = "v1"
 
+#: The module-scan memo's file name, beside the entry directories.
+_SCAN_MEMO = "scan.json"
+
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
@@ -73,6 +79,26 @@ def default_cache(enabled: Optional[bool] = None) -> Optional["VerdictCache"]:
     return VerdictCache(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
+def _replace(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically: a temp file in the same
+    directory, then ``os.replace``."""
+    import tempfile  # only writers need it; a warm hit never does
+
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 class BackendError(Exception):
     """A storage backend failed in a way that is not a plain miss.
 
@@ -85,7 +111,9 @@ class DirBackend:
 
     Layout: ``<root>/v1/<first two hex chars>/<full key>.json``; writes
     are atomic (temp file + ``os.replace``), so concurrent writers can
-    only ever race to write *identical* content.
+    only ever race to write *identical* content.  ``<root>/v1/scan.json``
+    memoises the package's module scan for the next process
+    (:meth:`load_scan`, :meth:`save_scan`), written the same way.
     """
 
     kind = "dir"
@@ -105,26 +133,30 @@ class DirBackend:
             return None
 
     def put(self, key: str, text: str) -> None:
-        import tempfile  # only writers need it; a warm hit never does
-
-        path = self._path(key)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            _replace(self._path(key), text.encode("utf-8"))
         except OSError as exc:
             raise BackendError(str(exc))
+
+    def load_scan(self) -> Optional[bytes]:
+        """The stored module scan (:func:`repro.cache.fingerprint.verdict_key`'s
+        ``memo``), or ``None`` when absent/unreadable."""
+        try:
+            with open(self._scan_path(), "rb") as fh:
+                return fh.read()
+        except OSError:
+            return None
+
+    def save_scan(self, data: bytes) -> None:
+        """Store the module scan; a scan that cannot be stored is only
+        made again by the next process."""
+        try:
+            _replace(self._scan_path(), data)
+        except OSError:
+            pass
+
+    def _scan_path(self) -> str:
+        return os.path.join(self.root, _VERSION_DIR, _SCAN_MEMO)
 
     def describe(self) -> str:
         return "dir:{}".format(self.root)
@@ -142,6 +174,9 @@ class VerdictCache:
     def __init__(self, root: str = DEFAULT_CACHE_DIR, backend=None):
         self.backend = backend if backend is not None else DirBackend(root)
         self.root = getattr(self.backend, "root", root)
+        #: where keys' module scan is memoised: a backend with a
+        #: directory (:meth:`DirBackend.load_scan`), else nowhere
+        self.scan_memo = self.backend if hasattr(self.backend, "load_scan") else None
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -154,7 +189,7 @@ class VerdictCache:
     ) -> Optional[Dict[str, Any]]:
         """The cached payload for this work item, or ``None`` (a miss —
         also on any unreadable/torn/mismatched entry)."""
-        key = verdict_key(kind, system, parts)
+        key = verdict_key(kind, system, parts, self.scan_memo)
         try:
             text = self.backend.get(key)
             if text is None:
@@ -187,7 +222,7 @@ class VerdictCache:
         (its ``verdict_key``), used in place of one hashed here from
         ``parts``: it is the key of the code that ran."""
         if key is None:
-            key = verdict_key(kind, system, parts)
+            key = verdict_key(kind, system, parts, self.scan_memo)
         meta = {"kind": kind, "system": system}
         try:
             text = cache_entry_to_json(key, payload, meta)

@@ -721,22 +721,40 @@ def cmd_run(args) -> int:
 
 
 def _check_entry(name: str, args, cache) -> dict:
-    """Check one system: the cache entry a miss computes."""
+    """Check one system: the cache entry a miss computes.
+
+    The reachability sweep the verdict requires is the zone graph of
+    the closed system ``(A, b)``: its timed reachable set is finite even
+    where the untimed one is not (rm's manager timer counts down without
+    a floor).  The untimed exploration still runs, to its cap, and is
+    reported as information.  A system whose bundle declares a
+    ``bounded_sweep`` is too big for a full zone sweep: it keeps the
+    untimed exploration as its required sweep, and its ``zones`` is
+    ``None``."""
     import time as _time
 
     from repro.analyze import lookup_static_mapping
     from repro.core.checker import check_mapping_exhaustive
     from repro.faults import build_perturb_target
     from repro.ioa.explorer import explore
-    from repro.surface import explore_automaton, mapping_specs
+    from repro.surface import bundle, explore_automaton, mapping_specs
+    from repro.zones.zone_graph import explore_zone_graph
 
     factory = _perturb_budget_factory(args)
     start = _time.perf_counter()
     automaton, cap = explore_automaton(name)
     result = explore(automaton, max_states=cap, budget=factory())
+    system = bundle(name)
+    if system.bounded_sweep is None:
+        zones = explore_zone_graph(system.timed(), budget=factory())
+        swept = not zones.truncated
+        exhausted = zones.exhausted_budget
+    else:
+        zones = None
+        swept = not result.truncated
+        exhausted = result.exhausted_budget
     mappings = []
     mappings_ok = True
-    exhausted = result.exhausted_budget
     for label, mapping, grid, horizon in mapping_specs(name):
         # A mapping the static analyzer already proved (all
         # obligations PROVED under the current analyze closure)
@@ -777,6 +795,13 @@ def _check_entry(name: str, args, cache) -> dict:
         "states": len(result.reachable),
         "transitions": result.transitions_explored,
         "truncated": result.truncated,
+        "zones": None
+        if zones is None
+        else {
+            "nodes": zones.nodes,
+            "transitions": zones.transitions,
+            "truncated": zones.truncated,
+        },
         "mappings": mappings,
         "battery": {
             "ok": battery.ok,
@@ -786,10 +811,10 @@ def _check_entry(name: str, args, cache) -> dict:
             "detail": battery.detail,
         },
         "expected_broken": target.expected_broken,
-        "ok": (not result.truncated) and mappings_ok and battery.ok,
-        # An exploration cut at its state cap proves nothing either way:
-        # the verdict is not conclusive, so it is never cached.
-        "conclusive": battery.conclusive and not exhausted and not result.truncated,
+        "ok": swept and mappings_ok and battery.ok,
+        # A required sweep cut at its cap proves nothing either way: the
+        # verdict is not conclusive, so it is never cached.
+        "conclusive": battery.conclusive and not exhausted and swept,
         "wall": _time.perf_counter() - start,
     }
 
@@ -798,7 +823,7 @@ def _render_check(entries) -> None:
     from repro.analysis.report import Table
 
     table = Table("check — full nominal verification", [
-        "system", "states", "mappings", "battery", "cached", "verdict",
+        "system", "states", "zones", "mappings", "battery", "cached", "verdict",
     ])
     for entry in entries:
         if entry["ok"]:
@@ -807,7 +832,8 @@ def _render_check(entries) -> None:
             verdict = "expected-broken" if entry["expected_broken"] else "FAIL"
         table.add_row(
             entry["system"],
-            entry["states"],
+            "{}+".format(entry["states"]) if entry["truncated"] else entry["states"],
+            "-" if entry["zones"] is None else entry["zones"]["nodes"],
             "{}/{}".format(
                 sum(1 for m in entry["mappings"] if m["ok"]),
                 len(entry["mappings"]),

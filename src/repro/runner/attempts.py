@@ -454,7 +454,9 @@ def collect(process, queue, timed_out: bool) -> Optional[Dict[str, Any]]:
     """Reap an attempt that is ready (:func:`attempt_ready`) or overdue:
     unless ``timed_out``, read its payload first (``None`` when it died
     without one), then end the process, killing it when it does not
-    exit on its own.  A ``stale_code`` payload retires the forkserver."""
+    exit on its own.  A ``stale_code`` payload retires the forkserver,
+    and this process's own scan with it: the next attempt runs the code
+    on disk, so this process's next lookup must key on that code too."""
     payload = None
     if not timed_out:
         try:
@@ -470,7 +472,10 @@ def collect(process, queue, timed_out: bool) -> Optional[Dict[str, Any]]:
             process.join(1.0)
     queue.close()
     if isinstance(payload, dict) and payload.get("stale_code"):
+        from repro.cache.fingerprint import forget_scan
+
         _retire_forkserver()
+        forget_scan()
     return payload
 
 

@@ -1,8 +1,8 @@
 """Timing conditions (paper Section 2.3).
 
-A timing condition ``(T_start, T_step) --b--> (Π, S)`` bounds the time
-from a trigger (a designated start state, or a designated step) to the
-next occurrence of an action in ``Π``, with the measurement suspended
+A timing condition ``(T_start, T_step) --b--> (Π, S)`` bounds the
+time from a trigger (a designated start state, or a designated step) to
+the next occurrence of an action in ``Π``, with the measurement suspended
 whenever a state in the disabling set ``S`` is reached.
 
 Because the automata in this library may have large or structured state

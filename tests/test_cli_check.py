@@ -55,20 +55,66 @@ class TestCheckCommand:
         assert "hits=1" in err
         assert json.loads(out)["cached"] is True
 
-    def test_truncated_exploration_is_inconclusive_and_not_cached(
-        self, warm_cache_env, capsys
-    ):
-        # rm's untimed automaton is unbounded, so its exploration stops
-        # at the state cap: that proves nothing either way, and a
-        # verdict that proves nothing must not be served as a hit.
-        _, out, err = _check(["rm", "--json"], capsys)
+    def test_rm_is_decided_by_its_zone_graph(self, warm_cache_env, capsys):
+        # rm's untimed automaton is unbounded (the manager's timer has
+        # no floor), so its exploration stops at the state cap; its
+        # zone graph is finite, and that is the sweep check requires.
+        code, out, err = _check(["rm", "--json"], capsys)
         entry = json.loads(out)
-        assert entry["truncated"] is True
+        assert code == 0
+        assert entry["truncated"] is True  # the untimed count, as information
+        assert entry["zones"]["nodes"] > 0 and not entry["zones"]["truncated"]
+        assert entry["ok"] and entry["conclusive"]
+        assert "stores=1" in err
+        _, out, err = _check(["rm", "--json"], capsys)
+        assert json.loads(out)["cached"] is True
+
+    def test_truncated_exploration_is_inconclusive_and_not_cached(
+        self, warm_cache_env, capsys, monkeypatch
+    ):
+        # A zone sweep cut at its node cap proves nothing either way,
+        # and a verdict that proves nothing must not be served as a hit.
+        # Only the sweep is cut: no budget runs out.
+        from repro.zones import zone_graph
+
+        def cut(*args, **kwargs):
+            return zone_graph.ZoneGraphResult(
+                nodes=3, transitions=2, truncated=True, firings={}
+            )
+
+        monkeypatch.setattr(zone_graph, "explore_zone_graph", cut)
+        code, out, err = _check(["chain", "--json"], capsys)
+        entry = json.loads(out)
+        assert code == 1
+        assert entry["zones"]["truncated"] is True
+        assert entry["battery"]["conclusive"] and not entry["battery"]["exhausted_budget"]
+        assert not any(m["exhausted_budget"] for m in entry["mappings"])
+        assert entry["ok"] is False
         assert entry["conclusive"] is False
         assert "stores=0" in err
-        _, out, err = _check(["rm", "--json"], capsys)
+        _, out, err = _check(["chain", "--json"], capsys)
         assert json.loads(out)["cached"] is False
         assert "hits=0" in err
+
+    def test_bounded_sweep_system_keeps_its_untimed_rule(self, capsys):
+        # gen:fischer-5 declares a bounded_sweep: a full zone sweep of
+        # it is out of reach, so its required sweep stays the untimed
+        # exploration (3552 states, under its cap) and it stays ok.
+        code, out, _ = _check(["gen:fischer-5", "--json", "--no-cache"], capsys)
+        entry = json.loads(out)
+        assert code == 0
+        assert entry["zones"] is None
+        assert entry["truncated"] is False
+        assert entry["ok"] is True
+        # Its battery is a bounded sweep, so the verdict is never settled.
+        assert entry["conclusive"] is False
+
+    def test_every_shipped_check_passes(self, capsys):
+        code, out, _ = _check(["all", "--json", "--no-cache"], capsys)
+        assert code == 0
+        for entry in json.loads(out):
+            assert entry["conclusive"], entry["system"]
+            assert entry["ok"] != entry["expected_broken"], entry["system"]
 
     def test_no_cache_flag(self, warm_cache_env, capsys):
         _check(["chain", "--json"], capsys)
