@@ -67,5 +67,12 @@ def test_e1_grant_bounds_sweep(benchmark):
             gap.all_within(params.grant_gap_interval),
         )
     emit(table)
+    # Theorem 4.4 on every measured point: every run grants, first
+    # grants land in [k·c1, k·c2 + l], gaps in [k·c1 − l, k·c2 + l].
+    for params, first, gap in results:
+        assert first.count == 12, params
+        assert gap.count > 0, params
+        assert first.all_within(params.first_grant_interval), (params, first)
+        assert gap.all_within(params.grant_gap_interval), (params, gap)
 
     benchmark(lambda: measure(SWEEP[1], seeds=range(4), steps=150))

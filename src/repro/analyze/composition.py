@@ -156,11 +156,11 @@ def _chain_bounds(name: str, system) -> List[DerivedBound]:
             detail="Minkowski sum of all stage bounds",
         )
     ]
-    for k in range(1, system.m):
+    for k in range(1, system.n):
         results.append(
             DerivedBound(
                 system=name,
-                label="U[{},{}]".format(k, system.m),
+                label="U[{},{}]".format(k, system.n),
                 derived=_fold(stages[k:]),
                 declared=partial_sum_interval(stages, k),
                 detail="partial Minkowski sum of the remaining stages",

@@ -1,9 +1,7 @@
 """Symbolic discharge of mapping obligations (paper Definition 3.2).
 
-Each shipped system's strong-possibilities-mapping obligations are
-compiled into exact-rational linear constraint systems and decided by
-Fourier–Motzkin elimination — no state enumeration anywhere.  Three
-obligation families per inequality mapping:
+Each shipped system's obligations are decided without exploring its
+timed state space.  Three obligation families per mapping:
 
 - ``base-identity``: source and target are built over the same ``A``
   (Definition 3.2 condition 3) — checked structurally.
@@ -11,21 +9,17 @@ obligation families per inequality mapping:
   image (condition 1) — checked concretely on the finitely many start
   states, no exploration.
 - ``steps``: every source step can be matched in the target
-  (condition 2) — split into symbolic cases by action and control
-  phase; each case is an implication ``H ⇒ g`` over the predictive
-  variables, discharged by infeasibility of ``H ∧ ¬g``.
-
-The case hypotheses encode structural invariants of ``time(A, U)``
-states that follow directly from the prediction-update rules (e.g. a
-class that is never disabled always satisfies ``Lt = Ft + (b_u − b_l)``
-and ``Ft ≤ Ct + b_l``); the case goals are the mapping inequalities at
-the post-state plus the legality constraints ``Ft ≤ t ≤ Lt`` of the
-matching target step.
+  (condition 2).  A projection's steps are checked structurally here;
+  an inequality mapping's are compiled from its declaration by
+  :mod:`repro.analyze.compiler` into implications ``H ⇒ g`` over the
+  predictive variables, each discharged by Fourier–Motzkin as the
+  infeasibility of ``H ∧ ¬g``.
 
 The Fischer obligations are *attack encodings*: a feasible constraint
 system is a concrete violating schedule, so feasibility yields
 ``REFUTED`` with the Fourier–Motzkin witness as the counterexample —
 this is how ``fischer-tight`` is refuted without a zone search.
+Peterson and the tournament bracket are decided by closed forms.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalyzeError
-from repro.analyze.constraints import Constraint, const, eq, ge, gt, le, lt, var
+from repro.analyze.constraints import Constraint, ge, le, var
 from repro.analyze.fourier_motzkin import decide, entails
 
 __all__ = [
@@ -121,14 +115,11 @@ class ObligationResult:
 
 @dataclass(frozen=True)
 class _Case:
-    """One symbolic step case: prove ``hypotheses ⇒ goals`` — or, for
-    ``impossible`` cases, that the hypotheses are contradictory (the
-    case cannot arise)."""
+    """One symbolic case: prove ``hypotheses ⇒ goals``."""
 
     name: str
     hypotheses: Tuple[Constraint, ...]
     goals: Tuple[Constraint, ...] = ()
-    impossible: bool = False
 
 
 def _discharge_cases(
@@ -142,31 +133,18 @@ def _discharge_cases(
     are relaxed encodings, so a failed implication is not a refutation)."""
     for case in cases:
         try:
-            if case.impossible:
-                result = decide(list(case.hypotheses))
-                if result.feasible:
-                    return ObligationResult(
-                        system=system,
-                        obligation=obligation,
-                        verdict=Verdict.UNKNOWN,
-                        method="fourier-motzkin",
-                        detail="case {!r} was expected to be contradictory but "
-                        "is satisfiable".format(case.name),
-                        mapping_label=mapping_label,
-                    )
-            else:
-                outcome = entails(list(case.hypotheses), list(case.goals))
-                if not outcome.holds:
-                    return ObligationResult(
-                        system=system,
-                        obligation=obligation,
-                        verdict=Verdict.UNKNOWN,
-                        method="fourier-motzkin",
-                        detail="case {!r}: could not entail {!r}".format(
-                            case.name, outcome.failing_goal
-                        ),
-                        mapping_label=mapping_label,
-                    )
+            outcome = entails(list(case.hypotheses), list(case.goals))
+            if not outcome.holds:
+                return ObligationResult(
+                    system=system,
+                    obligation=obligation,
+                    verdict=Verdict.UNKNOWN,
+                    method="fourier-motzkin",
+                    detail="case {!r}: could not entail {!r}".format(
+                        case.name, outcome.failing_goal
+                    ),
+                    mapping_label=mapping_label,
+                )
         except AnalyzeError as exc:
             return ObligationResult(
                 system=system,
@@ -252,11 +230,11 @@ def _projection_steps(system: str, label: str, mapping, lemma: str) -> Obligatio
     is the cited structural lemma."""
     issues: List[str] = []
     src, tgt = mapping.source, mapping.target
-    name_map = getattr(mapping, "_name_map", {})
+    name_map = mapping.name_map
     actions = tuple(tgt.base.signature.all_actions)
     start_states = tuple(tgt.base.start_states())
     for cond in tgt.conditions:
-        source_name = name_map.get(cond.name, cond.name)
+        source_name = name_map[cond.name]
         scond = src.condition(source_name)
         if cond.interval != scond.interval:
             issues.append(
@@ -297,366 +275,6 @@ def _projection_steps(system: str, label: str, mapping, lemma: str) -> Obligatio
         "states is {}".format(lemma),
         mapping_label=label,
     )
-
-
-# ----------------------------------------------------------------------
-# Resource manager (paper Section 4.3, Lemmas 4.1-4.2)
-# ----------------------------------------------------------------------
-
-
-def _rm_invariant_hyps(params) -> List[Constraint]:
-    """Structural invariants of reachable ``time(A, b)`` states.
-
-    TICK and LOCAL are never disabled, so their predictions always have
-    the shape ``(t0 + b_l, t0 + b_u)`` for a trigger time ``t0 ≤ Ct``;
-    no pending deadline is ever in the past.
-    """
-    c1, c2, l = _exact(params.c1), _exact(params.c2), _exact(params.l)
-    now = var("now")
-    ft_tick, lt_tick = var("ft_tick"), var("lt_tick")
-    ft_local, lt_local = var("ft_local"), var("lt_local")
-    return [
-        ge(now, 0),
-        eq(lt_tick, ft_tick + (c2 - c1)),
-        le(ft_tick, now + c1),
-        ge(ft_tick, 0),
-        eq(lt_local, ft_local + l),
-        le(ft_local, now),
-        ge(ft_local, 0),
-        le(now, lt_tick),
-        le(now, lt_local),
-    ]
-
-
-def _rm_step_hyps() -> List[Constraint]:
-    """A step at time ``t``: time advances and beats no deadline."""
-    t = var("t")
-    return [ge(t, var("now")), le(t, var("lt_tick")), le(t, var("lt_local"))]
-
-
-def _rm_mapping_hyps_positive(params) -> List[Constraint]:
-    """The Section 4.3 mapping at ``TIMER = T ≥ 1``, with ``(ft_R,
-    lt_R)`` the prediction of the *active* requirement condition (G1
-    before the first GRANT, G2 after; the inactive one holds the
-    default prediction and so never dominates the min/max)."""
-    c1, c2, l = _exact(params.c1), _exact(params.c2), _exact(params.l)
-    T = var("T")
-    return [
-        ge(var("lt_R"), var("lt_tick") + c2 * T - c2 + l),
-        le(var("ft_R"), var("ft_tick") + c1 * T - c1),
-        ge(var("ft_R"), 0),
-        ge(var("lt_R"), 0),
-    ]
-
-
-def _rm_obligations(system_name: str, label: str, system) -> List[ObligationResult]:
-    from repro.systems import resource_manager_mapping
-
-    params = system.params
-    c1, c2, l = _exact(params.c1), _exact(params.c2), _exact(params.l)
-    k = int(params.k)
-    mapping = resource_manager_mapping(system)
-
-    t = var("t")
-    ft_tick, lt_tick = var("ft_tick"), var("lt_tick")
-    ft_local, lt_local = var("ft_local"), var("lt_local")
-    ft_R, lt_R = var("ft_R"), var("lt_R")
-    T = var("T")
-
-    inv = _rm_invariant_hyps(params)
-    step = _rm_step_hyps()
-
-    # --- Lemma 4.1: TIMER >= 0, and TIMER = 0 implies
-    #     Ft(TICK) >= Lt(LOCAL) + c1 - l. ---
-    lemma_cases = [
-        _Case(
-            name="tick-at-zero-impossible",
-            hypotheses=tuple(
-                inv
-                + step
-                + [
-                    # Invariant at TIMER = 0 plus TICK's firing window:
-                    # t >= Ft(TICK) >= Lt(LOCAL) + c1 - l > Lt(LOCAL) >= t.
-                    ge(ft_tick, lt_local + (c1 - l)),
-                    ge(t, ft_tick),
-                    gt(const(c1), const(l)),
-                ]
-            ),
-            impossible=True,
-        ),
-        _Case(
-            name="tick-establishes-at-one",
-            hypotheses=tuple(inv + step + [ge(t, ft_tick)]),
-            # Post state: TIMER' = 0, Ft'(TICK) = t + c1, LOCAL's
-            # prediction unchanged (TICK is outside the LOCAL class and
-            # leaves it enabled).  Goal is the Lemma 4.1 inequality.
-            goals=(ge(t + c1, lt_local + (c1 - l)),),
-        ),
-        _Case(
-            name="grant-and-else-vacuous",
-            hypotheses=(),
-            goals=(),  # GRANT resets TIMER to k >= 1; ELSE keeps TIMER >= 1.
-        ),
-    ]
-    lemma = _discharge_cases(
-        system_name,
-        "{}/invariant:lemma-4.1".format(label),
-        lemma_cases,
-        mapping_label=label,
-        detail="TIMER >= 0 and TIMER = 0 implies Ft(TICK) >= Lt(LOCAL) + c1 - l; "
-        "TICK cannot overtake a pending GRANT deadline",
-    )
-
-    # --- Step correspondence of the Section 4.3 mapping. ---
-    m_pos = _rm_mapping_hyps_positive(params)
-    m_zero = [ge(lt_R, lt_local), le(ft_R, var("now")), ge(ft_R, 0)]
-    gl = k * c1 - l  # G2 lower bound (k*c1 - l)
-    gu = k * c2 + l  # G2 upper bound (k*c2 + l)
-    step_cases = [
-        _Case(
-            # TICK with TIMER = T >= 2: requirement predictions are
-            # untouched; the mapping must still hold at T' = T - 1
-            # against TICK's refreshed prediction (t + c1, t + c2).
-            name="tick-countdown",
-            hypotheses=tuple(inv + step + m_pos + [ge(T, 2), ge(t, ft_tick)]),
-            goals=(
-                le(t, lt_R),
-                ge(lt_R, t + c2 * T - c2 + l),
-                le(ft_R, t + c1 * T - c1),
-            ),
-        ),
-        _Case(
-            # TICK with TIMER = 1: the mapping's T = 0 clause takes
-            # over — min Lt >= Lt(LOCAL), max Ft <= Ct' = t.
-            name="tick-to-zero",
-            hypotheses=tuple(
-                inv
-                + step
-                + [
-                    ge(lt_R, lt_tick + l),
-                    le(ft_R, ft_tick),
-                    ge(ft_R, 0),
-                    ge(t, ft_tick),
-                ]
-            ),
-            goals=(le(t, lt_R), ge(lt_R, lt_local), le(ft_R, t)),
-        ),
-        _Case(
-            # GRANT at TIMER = 0: B's G2 is triggered to
-            # (t + k*c1 - l, t + k*c2 + l) and must cover the mapping at
-            # TIMER' = k.  The Ft direction is exactly where Lemma 4.1
-            # is consumed as a hypothesis.
-            name="grant",
-            hypotheses=tuple(
-                inv
-                + step
-                + m_zero
-                + [
-                    ge(t, ft_local),
-                    ge(ft_tick, lt_local + (c1 - l)),  # Lemma 4.1
-                ]
-            ),
-            goals=(
-                le(t, lt_R),
-                ge(t + gu, lt_tick + (k - 1) * c2 + l),
-                le(t + gl, ft_tick + (k - 1) * c1),
-                ge(ft_tick + (k - 1) * c1, 0),
-            ),
-        ),
-        _Case(
-            # ELSE at TIMER = T >= 1: nothing in B moves; the mapping
-            # inequality carries over verbatim (and the target deadline
-            # is respected).
-            name="else",
-            hypotheses=tuple(inv + step + m_pos + [ge(T, 1), ge(t, ft_local)]),
-            goals=(
-                le(t, lt_R),
-                ge(lt_R, lt_tick + c2 * T - c2 + l),
-                le(ft_R, ft_tick + c1 * T - c1),
-            ),
-        ),
-    ]
-    steps = _discharge_cases(
-        system_name,
-        "{}/steps".format(label),
-        step_cases,
-        mapping_label=label,
-        detail="Section 4.3 inequality mapping preserved across TICK, GRANT "
-        "and ELSE (Lemma 4.2)",
-    )
-
-    return [
-        _base_identity(system_name, label, mapping),
-        _initial(system_name, label, mapping),
-        lemma,
-        steps,
-    ]
-
-
-# ----------------------------------------------------------------------
-# Relay / chain level mappings (paper Section 6.3, Lemma 6.2)
-# ----------------------------------------------------------------------
-
-
-def _level_cases(Q, R, sig) -> List[_Case]:
-    """Step cases for a level mapping ``f_k : B_k → B_{k-1}``.
-
-    ``Q`` is the bound of the target condition ``U_{k-1}``, ``R`` the
-    bound of the source condition ``U_k``, and ``sig`` the class bound
-    of the hand-off event ``SIGNAL_k``.  Phases follow the at-most-one
-    -flag-up structural lemma: A (a later flag is up, predictions
-    correspond directly), B (flag k is up, the target tracks
-    ``SIGNAL_k``'s prediction shifted by ``R``), C (no flag at or past
-    ``k`` — both conditions inactive)."""
-    Q_lo, Q_hi = _exact(Q.lo), _exact(Q.hi)
-    R_lo, R_hi = _exact(R.lo), _exact(R.hi)
-    s_lo, s_hi = _exact(sig.lo), _exact(sig.hi)
-    t = var("t")
-    ft_u, lt_u = var("ft_u"), var("lt_u")  # target U_{k-1}
-    ft_s, lt_s = var("ft_s"), var("lt_s")  # source U_k
-    ft_sig, lt_sig = var("ft_sig"), var("lt_sig")  # source SIGNAL_k class
-    nonneg = [ge(v, 0) for v in (t, ft_u, ft_s, ft_sig)]
-    phase_a = [ge(lt_u, lt_s), le(ft_u, ft_s)]
-    phase_b = [ge(lt_u, lt_sig + R_hi), le(ft_u, ft_sig + R_lo)]
-    return [
-        _Case(
-            # SIGNAL_{k-1} fires: U_{k-1} is triggered to (t + Q_l,
-            # t + Q_u) while SIGNAL_k's class condition is triggered to
-            # (t + sig_l, t + sig_u); the phase-B relation demands
-            # exactly the Minkowski identity Q = sig + R.
-            name="handoff",
-            hypotheses=(),
-            goals=(
-                eq(const(Q_hi), const(s_hi + R_hi)),
-                eq(const(Q_lo), const(s_lo + R_lo)),
-            ),
-        ),
-        _Case(
-            # SIGNAL_k fires in phase B: the source triggers U_k to
-            # (t + R_l, t + R_u); the target's standing prediction must
-            # already cover it, and its deadline must not be beaten.
-            name="advance",
-            hypotheses=tuple(
-                nonneg + phase_b + [ge(t, ft_sig), le(t, lt_sig)]
-            ),
-            goals=(le(t, lt_u), ge(lt_u, t + R_hi), le(ft_u, t + R_lo)),
-        ),
-        _Case(
-            # SIGNAL_j with k < j < n in phase A: neither condition
-            # moves; direct correspondence carries over.
-            name="pass",
-            hypotheses=tuple(nonneg + phase_a + [le(t, lt_s)]),
-            goals=(le(t, lt_u), ge(lt_u, lt_s), le(ft_u, ft_s)),
-        ),
-        _Case(
-            # SIGNAL_n in phase A: both conditions fire and reset to
-            # the default prediction; the target step's legality window
-            # Ft(U_{k-1}) <= t <= Lt(U_{k-1}) follows from the source's.
-            name="finish",
-            hypotheses=tuple(nonneg + phase_a + [ge(t, ft_s), le(t, lt_s)]),
-            goals=(le(t, lt_u), ge(t, ft_u)),
-        ),
-        _Case(
-            # Any other action in phase B (NULL, earlier signals): the
-            # target deadline Lt(U_{k-1}) is covered by SIGNAL_k's own
-            # class deadline, which the source step already respects.
-            name="stutter-deadline",
-            hypotheses=tuple(nonneg + phase_b + [le(t, lt_sig)]),
-            goals=(le(t, lt_u),),
-        ),
-        _Case(
-            # Phase C (flags below k only): both conditions hold the
-            # default prediction and shared conditions update
-            # identically — nothing to prove.
-            name="prefix",
-            hypotheses=(),
-            goals=(),
-        ),
-    ]
-
-
-def _relay_obligations(system_name: str, system) -> List[ObligationResult]:
-    from repro.systems import relay_hierarchy
-
-    params = system.params
-    n = params.n
-    chain = relay_hierarchy(system)
-    results: List[ObligationResult] = []
-    for level, mapping in enumerate(chain):
-        label = "relay[{}]".format(level)
-        results.append(_base_identity(system_name, label, mapping))
-        results.append(_initial(system_name, label, mapping))
-        if level == 0 or level == len(chain.mappings) - 1:
-            results.append(
-                _projection_steps(
-                    system_name,
-                    label,
-                    mapping,
-                    lemma="Lemma 6.1 (at most one flag is up)",
-                )
-            )
-        else:
-            # chain is [entry, f_{n-1}, ..., f_1, exit]; mapping at
-            # position `level` (1-based inside the levels) is f_k with
-            # k = n - level.
-            k = n - level
-            cases = _level_cases(
-                Q=params.hop_interval(k - 1),
-                R=params.hop_interval(k),
-                sig=system.timed.boundmap["SIGNAL_{}".format(k)],
-            )
-            results.append(
-                _discharge_cases(
-                    system_name,
-                    "{}/steps".format(label),
-                    cases,
-                    mapping_label=label,
-                    detail="level mapping f_{} : B_{} -> B_{} (Lemma 6.2)".format(
-                        k, k, k - 1
-                    ),
-                )
-            )
-    return results
-
-
-def _chain_obligations(system_name: str, system) -> List[ObligationResult]:
-    from repro.systems.extensions.chain import partial_sum_interval
-
-    stages = system.stages
-    m = system.m
-    chain = system.hierarchy()
-    results: List[ObligationResult] = []
-    for level, mapping in enumerate(chain):
-        label = "chain[{}]".format(level)
-        results.append(_base_identity(system_name, label, mapping))
-        results.append(_initial(system_name, label, mapping))
-        if level == 0 or level == len(chain.mappings) - 1:
-            results.append(
-                _projection_steps(
-                    system_name,
-                    label,
-                    mapping,
-                    lemma="the chain analogue of Lemma 6.1 (one event in "
-                    "flight at a time)",
-                )
-            )
-        else:
-            k = m - level
-            cases = _level_cases(
-                Q=partial_sum_interval(stages, k - 1),
-                R=partial_sum_interval(stages, k),
-                sig=stages[k - 1],
-            )
-            results.append(
-                _discharge_cases(
-                    system_name,
-                    "{}/steps".format(label),
-                    cases,
-                    mapping_label=label,
-                    detail="chain level mapping f_{} (Theorem 6.4 instance)".format(k),
-                )
-            )
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -121,7 +121,7 @@ KIND_ROOTS: Dict[str, Tuple[str, ...]] = {
 #: absent from both fall back to the whole package.
 SYSTEM_SEEDS: Dict[str, Tuple[str, ...]] = {
     "rm": ("systems.resource_manager", "systems.mappings_rm"),
-    "relay": ("systems.signal_relay", "systems.mappings_relay"),
+    "relay": ("systems.signal_relay",),
     "fischer": ("systems.extensions.fischer",),
     "fischer-tight": ("systems.extensions.fischer",),
     "peterson": ("systems.extensions.peterson",),
@@ -209,6 +209,7 @@ class _Scan:
         "barrier_inits",
         "opaque_inits",
         "closures",
+        "subtrees",
     )
 
     def __init__(self, package: str):
@@ -234,6 +235,9 @@ class _Scan:
         #: ``(kind-or-*, system class) -> hex digest`` of closures hashed
         #: from this scan; dropped with it
         self.closures: Dict[Tuple[str, str], str] = {}
+        #: dotted prefix -> the modules at or under it, indexed by the
+        #: first :meth:`under` once every module is hashed
+        self.subtrees: Optional[Dict[str, Tuple[str, ...]]] = None
 
     # -- partition helpers ------------------------------------------------
 
@@ -248,12 +252,17 @@ class _Scan:
         return module == prefix or module.startswith(prefix + ".")
 
     def under(self, prefix: str) -> Tuple[str, ...]:
-        """All scanned modules at or under a dotted prefix."""
-        return tuple(
-            name
-            for name in self.hashes
-            if name == prefix or name.startswith(prefix + ".")
-        )
+        """All scanned modules at or under a dotted prefix, in scan
+        order.  One pass over the modules indexes every prefix, so each
+        call is a lookup."""
+        if self.subtrees is None:
+            subtrees: Dict[str, List[str]] = {}
+            for name in self.hashes:
+                parts = name.split(".")
+                for end in range(1, len(parts) + 1):
+                    subtrees.setdefault(".".join(parts[:end]), []).append(name)
+            self.subtrees = {key: tuple(names) for key, names in subtrees.items()}
+        return self.subtrees.get(prefix, ())
 
 
 def _default_root(root: Optional[str]) -> str:
@@ -510,12 +519,10 @@ def _resolve_init_edges(scan: _Scan) -> None:
                 ok = False
         exports[init] = table
         (scan.barrier_inits if ok else scan.opaque_inits).add(init)
+    known = set(modules)
     for name, raw in scan.edges.items():
-        resolved: Set[str] = set()
-        for edge in raw:
-            if edge in modules:
-                resolved.add(edge)
-                continue
+        resolved: Set[str] = raw & known
+        for edge in raw - known:
             owner, _, leaf = edge.rpartition(".")
             if owner not in modules:
                 continue

@@ -29,10 +29,17 @@ from repro.core.dummification import (
     undum,
 )
 from repro.core.mappings import (
+    NOW,
+    Ineq,
     InequalityMapping,
+    Linear,
     MappingChain,
     ProjectionMapping,
     StrongPossibilitiesMapping,
+    source_ft,
+    source_lt,
+    target_ft,
+    target_lt,
 )
 from repro.core.projection import lift, project, validate_run
 from repro.core.time_automaton import (
@@ -55,6 +62,13 @@ __all__ = [
     "validate_run",
     "StrongPossibilitiesMapping",
     "InequalityMapping",
+    "Ineq",
+    "Linear",
+    "NOW",
+    "target_ft",
+    "target_lt",
+    "source_ft",
+    "source_lt",
     "ProjectionMapping",
     "MappingChain",
     "CheckOutcome",

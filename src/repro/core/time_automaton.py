@@ -53,6 +53,10 @@ class PredictiveTimeAutomaton:
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(self.conditions)}
         self._pi_flags: Dict[Hashable, Tuple[bool, ...]] = {}
         self.name = name or "time({}, {})".format(base.name, names)
+        #: The ``(A, b)`` this automaton is ``time(A, b)`` of, when it
+        #: was built by :func:`time_of_boundmap`; its zone graph is then
+        #: an exact description of the reachable states.
+        self.timed: Optional[TimedAutomaton] = None
 
     # ------------------------------------------------------------------
     # Condition/state component access
@@ -284,9 +288,10 @@ def time_of_conditions(
 def time_of_boundmap(timed: TimedAutomaton, name: Optional[str] = None) -> PredictiveTimeAutomaton:
     """The special case ``time(A, b) = time(A, U_b)`` (Section 3.2),
     instantiating the general construction on the boundmap conditions."""
-    conditions = boundmap_conditions(timed)
-    return PredictiveTimeAutomaton(
+    automaton = PredictiveTimeAutomaton(
         timed.automaton,
-        conditions,
+        boundmap_conditions(timed),
         name=name or "time({}, b)".format(timed.automaton.name),
     )
+    automaton.timed = timed
+    return automaton

@@ -15,8 +15,15 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.checker import CheckOutcome, check_chain_on_run, check_mapping_on_run
-from repro.core.mappings import InequalityMapping, MappingChain
-from repro.core.time_state import TimeState
+from repro.core.mappings import (
+    Ineq,
+    InequalityMapping,
+    MappingChain,
+    source_ft,
+    source_lt,
+    target_ft,
+    target_lt,
+)
 from repro.errors import ReproError, ZoneError
 from repro.faults.budget import Budget
 from repro.timed.boundmap import TimedAutomaton
@@ -57,45 +64,18 @@ def slack_refinement_mapping(
         pairs = tuple(
             (c.name, c.name) for c in target.conditions if c.name in source_names
         )
-    pair_list = tuple(pairs)
-
-    def predicate(u: TimeState, s: TimeState) -> bool:
-        for source_name, target_name in pair_list:
-            if target.lt(u, target_name) < source.lt(s, source_name):
-                return False
-            if target.ft(u, target_name) > source.ft(s, source_name):
-                return False
-        return True
-
-    def explain(u: TimeState, s: TimeState) -> str:
-        problems = []
-        for source_name, target_name in pair_list:
-            if target.lt(u, target_name) < source.lt(s, source_name):
-                problems.append(
-                    "Lt({}) = {!r} < source Lt({}) = {!r}".format(
-                        target_name,
-                        target.lt(u, target_name),
-                        source_name,
-                        source.lt(s, source_name),
-                    )
-                )
-            if target.ft(u, target_name) > source.ft(s, source_name):
-                problems.append(
-                    "Ft({}) = {!r} > source Ft({}) = {!r}".format(
-                        target_name,
-                        target.ft(u, target_name),
-                        source_name,
-                        source.ft(s, source_name),
-                    )
-                )
-        return "; ".join(problems) or "containment holds (?)"
-
     return InequalityMapping(
         source=source,
         target=target,
-        predicate=predicate,
+        cases=[
+            ineq
+            for source_name, target_name in pairs
+            for ineq in (
+                Ineq(target_lt(target_name), ">=", source_lt(source_name)),
+                Ineq(target_ft(target_name), "<=", source_ft(source_name)),
+            )
+        ],
         name=name or "slack refinement {} -> {}".format(source.name, target.name),
-        explain=explain,
     )
 
 

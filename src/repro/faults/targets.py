@@ -54,10 +54,8 @@ from repro.faults.tolerance import ToleranceReport, search_tolerance
 from repro.sim.scheduler import Simulator
 from repro.sim.strategies import UniformStrategy
 from repro.surface import bundle
-from repro.systems import GRANT, SIGNAL, RelayParams, RelaySystem, relay_hierarchy
-from repro.systems.extensions import EVENT, ChainSystem
+from repro.systems import GRANT
 from repro.systems.mappings_rm import resource_manager_mapping_over
-from repro.timed.interval import Interval
 
 __all__ = [
     "PerturbTarget",
@@ -238,57 +236,13 @@ def _rm_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed
     return evaluate
 
 
-def _relay_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
-    params = nominal.params
-    claimed = params.end_to_end_interval
-
-    def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
-        if eps == 0:
-            perturbed = nominal
-        else:
-            stage = perturb_interval(
-                Interval(params.d1, params.d2),
-                Drift(eps, mode=mode, direction=direction),
-            )
-            perturbed = RelaySystem(
-                RelayParams(n=params.n, d1=stage.lo, d2=stage.hi)
-            )
-        chain = MappingChain(
-            list(relay_hierarchy(perturbed).mappings)
-            + [
-                slack_refinement_mapping(
-                    perturbed.requirements,
-                    nominal.requirements,
-                    name="relay slack refinement",
-                )
-            ]
-        )
-        runs = _adversarial_runs(perturbed.algorithm, budget, seeds, steps, base=seed)
-        checks = [
-            (
-                "Section 6 hierarchy + slack refinement",
-                lambda: mapping_run_check(chain, runs, budget),
-            ),
-            (
-                "Lemma 2.1 vs nominal (A, b)",
-                lambda: lemma_2_1_check(
-                    nominal.timed, [undum(project(run)) for run in runs], budget
-                ),
-            ),
-            (
-                "zone end-to-end bound",
-                lambda: zone_condition_check(
-                    perturbed.timed, SIGNAL(0), SIGNAL(params.n), claimed, budget=budget
-                ),
-            ),
-        ]
-        return _run_checks(checks, budget)
-
-    return evaluate
-
-
-def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, seed: int):
-    stages = nominal.stages
+def _line_builder(
+    nominal, label: str, section: str, direction: str, mode: str, seeds: int, steps: int, seed: int
+):
+    """A relay's or a chain's battery: its hierarchy plus slack
+    refinement into the nominal requirements along adversarial runs,
+    Lemma 2.1 against the nominal ``(A, b)``, and the zone end-to-end
+    bound, each after drifting every stage."""
     claimed = nominal.requirement.interval
 
     def evaluate(eps: Fraction, budget: Optional[Budget]) -> CheckOutcome:
@@ -296,23 +250,21 @@ def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, s
             perturbed = nominal
         else:
             drift = Drift(eps, mode=mode, direction=direction)
-            perturbed = ChainSystem(
-                [perturb_interval(stage, drift) for stage in stages]
-            )
+            perturbed = nominal.rebuilt([perturb_interval(s, drift) for s in nominal.stages])
         chain = MappingChain(
             list(perturbed.hierarchy().mappings)
             + [
                 slack_refinement_mapping(
                     perturbed.requirements,
                     nominal.requirements,
-                    name="chain slack refinement",
+                    name="{} slack refinement".format(label),
                 )
             ]
         )
         runs = _adversarial_runs(perturbed.algorithm, budget, seeds, steps, base=seed)
         checks = [
             (
-                "Section 8 hierarchy + slack refinement",
+                "{} hierarchy + slack refinement".format(section),
                 lambda: mapping_run_check(chain, runs, budget),
             ),
             (
@@ -324,7 +276,11 @@ def _chain_builder(nominal, direction: str, mode: str, seeds: int, steps: int, s
             (
                 "zone end-to-end bound",
                 lambda: zone_condition_check(
-                    perturbed.timed, EVENT(0), EVENT(nominal.m), claimed, budget=budget
+                    perturbed.timed,
+                    nominal.event(0),
+                    nominal.event(nominal.n),
+                    claimed,
+                    budget=budget,
                 ),
             ),
         ]

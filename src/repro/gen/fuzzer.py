@@ -172,7 +172,7 @@ def _mapping_verdict(system: RandomSystem, claim: Interval) -> Tuple[bool, bool]
     requirements = time_of_conditions(
         system.timed.automaton, [_gap_condition(claim)], name="fuzz-claim"
     )
-    mapping = InequalityMapping(algorithm, requirements, lambda u, s: True)
+    mapping = InequalityMapping(algorithm, requirements, ())
     outcome = check_mapping_exhaustive(
         mapping, grid=GRID, horizon=_horizon(system)
     )

@@ -193,6 +193,18 @@ def _lint_target(system: Bundle, dummified=None, waivers=()):
     )
 
 
+#: What a chain's projection steps rest on for trigger agreement.
+CHAIN_LEMMA = "the chain analogue of Lemma 6.1 (one event in flight at a time)"
+
+
+def _mapping_obligations(system: Bundle, lemma: str = "") -> List[Any]:
+    """Definition 3.2's obligations of every mapping the bundle declares,
+    compiled from the declarations (:mod:`repro.analyze.compiler`)."""
+    from repro.analyze.compiler import mapping_obligations
+
+    return mapping_obligations(system.name, system.mappings(), lemma, system.max_states)
+
+
 def _levels(prefix: str, hierarchy) -> List[Tuple[str, Any]]:
     return [("{}[{}]".format(prefix, level), mapping) for level, mapping in enumerate(hierarchy)]
 
@@ -212,10 +224,6 @@ def _rm() -> Bundle:
     system = ResourceManagerSystem(
         ResourceManagerParams(k=3, c1=Fraction(2), c2=Fraction(3), l=Fraction(1))
     )
-    def obligations():
-        from repro.analyze.obligations import _rm_obligations
-
-        return _rm_obligations("rm", "rm", system)
 
     def bounds():
         from repro.analyze.composition import _rm_bounds
@@ -235,7 +243,7 @@ def _rm() -> Bundle:
         horizon=Fraction(8),
         mappings_factory=lambda: [("rm", resource_manager_mapping(system))],
         lint_target_factory=lambda: _lint_target(rm),
-        obligations_factory=obligations,
+        obligations_factory=lambda: _mapping_obligations(rm),
         bounds_factory=bounds,
         tolerance=_ratio(system.params.c1, system.params.c2),
         requirements_factory=lambda: (system.g1, system.g2),
@@ -244,45 +252,47 @@ def _rm() -> Bundle:
     return rm
 
 
+def _line(name: str, system, label: str, section: str, lemma: str, bounds, **fields) -> Bundle:
+    """A relay or a chain: its hierarchy as the mappings ``label[level]``,
+    linted with its dummified automaton, stressed by the line battery."""
+
+    def perturb(*battery):
+        from repro.faults.targets import _line_builder
+
+        return _line_builder(system, label, section, *battery)
+
+    line = Bundle(
+        name=name,
+        timed_factory=lambda: system.timed,
+        system_factory=lambda: system,
+        grid=Fraction(1, 2),
+        mappings_factory=lambda: _levels(label, system.hierarchy()),
+        lint_target_factory=lambda: _lint_target(
+            line, dummified=system.dummified, waivers=(("R005", repr(system.class_name(0))),)
+        ),
+        obligations_factory=lambda: _mapping_obligations(line, lemma),
+        bounds_factory=bounds,
+        tolerance=min(_ratio(s.lo, s.hi) for s in system.stages),
+        requirements_factory=lambda: (system.requirement,),
+        perturb_builder=perturb,
+        **fields
+    )
+    return line
+
+
 def _relay(name: str, n: int, **fields) -> Bundle:
     """The Section 6 relay with ``n`` stages of hop window [1, 2]."""
-    from repro.systems import RelayParams, RelaySystem, relay_hierarchy
+    from repro.systems import RelayParams, RelaySystem
 
     system = RelaySystem(RelayParams(n=n, d1=Fraction(1), d2=Fraction(2)))
-
-    def obligations():
-        from repro.analyze.obligations import _relay_obligations
-
-        return _relay_obligations(name, system)
 
     def bounds():
         from repro.analyze.composition import _relay_bounds
 
         return _relay_bounds(name, system)
 
-    def perturb(*battery):
-        from repro.faults.targets import _relay_builder
-
-        return _relay_builder(system, *battery)
-
-    relay = Bundle(
-        name=name,
-        timed_factory=lambda: system.timed,
-        system_factory=lambda: system,
-        grid=Fraction(1, 2),
-        horizon=Fraction(n + 2),
-        mappings_factory=lambda: _levels("relay", relay_hierarchy(system)),
-        lint_target_factory=lambda: _lint_target(
-            relay, dummified=system.dummified, waivers=(("R005", "'SIGNAL_0'"),)
-        ),
-        obligations_factory=obligations,
-        bounds_factory=bounds,
-        tolerance=_ratio(system.params.d1, system.params.d2),
-        requirements_factory=lambda: (system.requirement,),
-        perturb_builder=perturb,
-        **fields
-    )
-    return relay
+    lemma = "Lemma 6.1 (at most one flag is up)"
+    return _line(name, system, "relay", "Section 6", lemma, bounds, horizon=Fraction(n + 2), **fields)
 
 
 def _chain() -> Bundle:
@@ -291,42 +301,24 @@ def _chain() -> Bundle:
 
     system = ChainSystem([Interval(1, 2), Interval(2, 3)])
 
-    def obligations():
-        from repro.analyze.obligations import _chain_obligations
-
-        return _chain_obligations("chain", system)
-
     def bounds():
         from repro.analyze.composition import _chain_bounds
 
         return _chain_bounds("chain", system)
 
-    def perturb(*battery):
-        from repro.faults.targets import _chain_builder
-
-        return _chain_builder(system, *battery)
-
-    chain = Bundle(
-        name="chain",
-        timed_factory=lambda: system.timed,
-        system_factory=lambda: system,
-        grid=Fraction(1, 2),
+    return _line(
+        "chain",
+        system,
+        "chain",
+        "Section 8",
+        CHAIN_LEMMA,
+        bounds,
         horizon=Fraction(6),
-        mappings_factory=lambda: _levels("chain", system.hierarchy()),
-        lint_target_factory=lambda: _lint_target(
-            chain, dummified=system.dummified, waivers=(("R005", "'EVENT_0'"),)
-        ),
-        obligations_factory=obligations,
-        bounds_factory=bounds,
-        tolerance=min(_ratio(s.lo, s.hi) for s in system.stages),
-        requirements_factory=lambda: (system.requirement,),
         # Sequential stages meet at their boundary (stage k's latest
         # completion equals stage k+1's earliest): not a race, the
         # stages are never co-enabled.
         analyze_waivers=(("R018", "'EVENT_1'"),),
-        perturb_builder=perturb,
     )
-    return chain
 
 
 def _mutex(name, record, timed, violation, obligations, bounds, waivers, **fields) -> Bundle:

@@ -15,31 +15,14 @@ automata and level mappings.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import AutomatonError
-from repro.ioa.actions import Act, Kind
+from repro.ioa.actions import Act
 from repro.ioa.composition import compose
-from repro.ioa.guarded import ActionSpec, GuardedAutomaton
-from repro.ioa.partition import Partition
 from repro.timed.boundmap import Boundmap, TimedAutomaton
-from repro.timed.conditions import TimingCondition, cond_of_class
 from repro.timed.interval import INFINITY, Interval
-from repro.core.dummification import dummify, dummify_condition
-from repro.core.mappings import (
-    InequalityMapping,
-    MappingChain,
-    ProjectionMapping,
-    StrongPossibilitiesMapping,
-)
-from repro.core.time_automaton import (
-    PredictiveTimeAutomaton,
-    time_of_boundmap,
-    time_of_conditions,
-)
-from repro.core.time_state import TimeState
+from repro.systems.signal_relay import LineSystem, line_process, partial_sum_interval
 
 __all__ = ["EVENT", "event_class_name", "ChainSystem", "partial_sum_interval"]
 
@@ -53,26 +36,15 @@ def event_class_name(i: int) -> str:
     return "EVENT_{}".format(i)
 
 
-def partial_sum_interval(stage_intervals: Sequence[Interval], k: int) -> Interval:
-    """``U_{k,m}``'s bound: the Minkowski sum of stages ``k+1 … m``."""
-    remaining = stage_intervals[k:]
-    if not remaining:
-        raise AutomatonError("no stages after k = {}".format(k))
-    total = remaining[0]
-    for interval in remaining[1:]:
-        total = total + interval
-    return total
-
-
-class ChainSystem:
+class ChainSystem(LineSystem):
     """A line ``E_0 → E_1 → … → E_m`` with stage ``i`` (the hop from
-    ``EVENT_{i-1}`` to ``EVENT_i``) bounded by ``stage_intervals[i-1]``.
+    ``EVENT_{i-1}`` to ``EVENT_i``) bounded by ``stage_intervals[i-1]``:
+    the relay's artifacts (:class:`~repro.systems.signal_relay.LineSystem`)
+    for heterogeneous per-stage bounds."""
 
-    Provides the same artifacts as :class:`~repro.systems.signal_relay.
-    RelaySystem` — dummified automaton, ``time(Ã, b̃)``, requirements
-    automaton, intermediates ``B_k`` and the mapping hierarchy — but for
-    heterogeneous per-stage bounds.
-    """
+    prefix = "chain-"
+    event = staticmethod(EVENT)
+    class_name = staticmethod(event_class_name)
 
     def __init__(
         self,
@@ -81,149 +53,17 @@ class ChainSystem:
     ):
         if not stage_intervals:
             raise AutomatonError("a chain needs at least one stage")
-        self.stages: Tuple[Interval, ...] = tuple(stage_intervals)
-        self.m = len(self.stages)
-        self.timed = self._build_timed()
-        self.dummified = dummify(self.timed, dummy_interval)
-        self.algorithm: PredictiveTimeAutomaton = time_of_boundmap(self.dummified)
-        self.requirement = dummify_condition(self._condition(0))
-        self.requirements: PredictiveTimeAutomaton = time_of_conditions(
-            self.dummified.automaton, [self.requirement], name="chain-B"
-        )
-        self._intermediates: Dict[int, PredictiveTimeAutomaton] = {}
+        super().__init__(_chain_timed(stage_intervals), stage_intervals, dummy_interval)
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    def rebuilt(self, stages: Sequence[Interval]) -> "ChainSystem":
+        """The same chain over other stages."""
+        return ChainSystem(stages)
 
-    def _build_timed(self) -> TimedAutomaton:
-        head = GuardedAutomaton(
-            name="E0",
-            start=[True],
-            specs=[
-                ActionSpec(
-                    EVENT(0),
-                    Kind.OUTPUT,
-                    precondition=lambda flag: flag,
-                    effect=lambda _flag: False,
-                )
-            ],
-            partition=Partition.from_pairs([(event_class_name(0), [EVENT(0)])]),
-        )
-        processes = [head]
-        for i in range(1, self.m + 1):
-            processes.append(
-                GuardedAutomaton(
-                    name="E{}".format(i),
-                    start=[False],
-                    specs=[
-                        ActionSpec(EVENT(i - 1), Kind.INPUT, effect=lambda _flag: True),
-                        ActionSpec(
-                            EVENT(i),
-                            Kind.OUTPUT,
-                            precondition=lambda flag: flag,
-                            effect=lambda _flag: False,
-                        ),
-                    ],
-                    partition=Partition.from_pairs(
-                        [(event_class_name(i), [EVENT(i)])]
-                    ),
-                )
-            )
-        composed = compose(*processes, name="event-chain")
-        bounds = {event_class_name(0): Interval(0, INFINITY)}
-        for i in range(1, self.m + 1):
-            bounds[event_class_name(i)] = self.stages[i - 1]
-        return TimedAutomaton(composed, Boundmap(bounds))
 
-    def _condition(self, k: int) -> TimingCondition:
-        return TimingCondition.after_action(
-            "U[{},{}]".format(k, self.m),
-            partial_sum_interval(self.stages, k),
-            EVENT(k),
-            [EVENT(self.m)],
-        )
-
-    def condition_name(self, k: int) -> str:
-        return "U[{},{}]".format(k, self.m)
-
-    def _class_condition(self, class_name: str) -> TimingCondition:
-        cls = self.dummified.automaton.partition[class_name]
-        return cond_of_class(self.dummified, cls)
-
-    def intermediate(self, k: int) -> PredictiveTimeAutomaton:
-        """``B_k`` for the heterogeneous chain."""
-        if not (0 <= k <= self.m - 1):
-            raise AutomatonError("B_k is defined for 0 <= k <= m-1")
-        if k not in self._intermediates:
-            conditions: List[TimingCondition] = [dummify_condition(self._condition(k))]
-            for j in range(k + 1):
-                conditions.append(self._class_condition(event_class_name(j)))
-            conditions.append(self._class_condition("NULL"))
-            self._intermediates[k] = time_of_conditions(
-                self.dummified.automaton, conditions, name="chain-B_{}".format(k)
-            )
-        return self._intermediates[k]
-
-    # ------------------------------------------------------------------
-    # Mappings
-    # ------------------------------------------------------------------
-
-    def level_mapping(self, k: int) -> InequalityMapping:
-        """``f_k : B_k → B_{k−1}`` with the heterogeneous partial sums
-        in place of ``(n−k)·d``."""
-        source = self.intermediate(k)
-        target = self.intermediate(k - 1)
-        source_u = self.condition_name(k)
-        target_u = self.condition_name(k - 1)
-        remaining = partial_sum_interval(self.stages, k)
-        shared = [event_class_name(j) for j in range(k)] + ["NULL"]
-        m = self.m
-
-        def required_bounds(s: TimeState):
-            flags = s.astate[0]
-            if any(flags[i] for i in range(k + 1, m + 1)):
-                return source.lt(s, source_u), source.ft(s, source_u)
-            if flags[k]:
-                return (
-                    source.lt(s, event_class_name(k)) + remaining.hi,
-                    source.ft(s, event_class_name(k)) + remaining.lo,
-                )
-            return math.inf, 0
-
-        def predicate(u: TimeState, s: TimeState) -> bool:
-            for name in shared:
-                if u.preds[target.index_of(name)] != s.preds[source.index_of(name)]:
-                    return False
-            need_lt, need_ft = required_bounds(s)
-            return (
-                target.lt(u, target_u) >= need_lt and target.ft(u, target_u) <= need_ft
-            )
-
-        return InequalityMapping(
-            source=source,
-            target=target,
-            predicate=predicate,
-            name="chain f_{}".format(k),
-        )
-
-    def hierarchy(self) -> MappingChain:
-        """``time(Ã, b̃) → B_{m−1} → … → B_0 → B``."""
-        mappings: List[StrongPossibilitiesMapping] = [
-            ProjectionMapping(
-                source=self.algorithm,
-                target=self.intermediate(self.m - 1),
-                name_map={self.condition_name(self.m - 1): event_class_name(self.m)},
-                name="chain entry",
-            )
-        ]
-        for k in range(self.m - 1, 0, -1):
-            mappings.append(self.level_mapping(k))
-        mappings.append(
-            ProjectionMapping(
-                source=self.intermediate(0),
-                target=self.requirements,
-                name="chain exit",
-            )
-        )
-        return MappingChain(mappings)
+def _chain_timed(stages: Sequence[Interval]) -> TimedAutomaton:
+    """``E_0 ∥ … ∥ E_m``: ``EVENT_0 ↦ [0, ∞]``, ``EVENT_i ↦ stages[i-1]``."""
+    processes = [line_process(EVENT, event_class_name, "E", i) for i in range(len(stages) + 1)]
+    bounds = {event_class_name(0): Interval(0, INFINITY)}
+    for i, stage in enumerate(stages, start=1):
+        bounds[event_class_name(i)] = stage
+    return TimedAutomaton(compose(*processes, name="event-chain"), Boundmap(bounds))

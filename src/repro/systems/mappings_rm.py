@@ -13,13 +13,21 @@ exactly when (with ``TIMER`` taken from the shared ``A``-state):
 
 The right-hand sides read off *how* the bound will be met: a tick within
 ``Lt(TICK)``, then ``TIMER − 1`` more ticks of at most ``c2`` each, then
-a ``GRANT`` within ``l`` (and symmetrically for the lower bound).
+a ``GRANT`` within ``l`` (and symmetrically for the lower bound).  The
+min and max unfold into one inequality per requirement condition.
 """
 
 from __future__ import annotations
 
-from repro.core.mappings import InequalityMapping
-from repro.core.time_state import TimeState
+from repro.core.mappings import (
+    NOW,
+    Ineq,
+    InequalityMapping,
+    source_ft,
+    source_lt,
+    target_ft,
+    target_lt,
+)
 from repro.systems.resource_manager import ResourceManagerSystem, timer_of
 
 __all__ = ["resource_manager_mapping", "resource_manager_mapping_over"]
@@ -40,43 +48,27 @@ def resource_manager_mapping_over(
     *perturbed* algorithm automaton against the *nominal* requirements
     and constants — a robust-refinement question the bundled
     :func:`resource_manager_mapping` cannot pose."""
-    c1 = params.c1
-    c2 = params.c2
-    l = params.l
+    c1, c2, l = params.c1, params.c2, params.l
 
-    def bounds(u: TimeState, s: TimeState):
-        min_lt = min(requirements.lt(u, "G1"), requirements.lt(u, "G2"))
-        max_ft = max(requirements.ft(u, "G1"), requirements.ft(u, "G2"))
-        timer = timer_of(s.astate)
+    def case(timer: int):
         if timer > 0:
-            need_lt = algorithm.lt(s, "TICK") + (timer - 1) * c2 + l
-            need_ft = algorithm.ft(s, "TICK") + (timer - 1) * c1
+            need_lt = source_lt("TICK") + ((timer - 1) * c2 + l)
+            need_ft = source_ft("TICK") + (timer - 1) * c1
         else:
-            need_lt = algorithm.lt(s, "LOCAL")
-            need_ft = s.now
-        return min_lt, max_ft, need_lt, need_ft
-
-    def predicate(u: TimeState, s: TimeState) -> bool:
-        min_lt, max_ft, need_lt, need_ft = bounds(u, s)
-        return min_lt >= need_lt and max_ft <= need_ft
-
-    def explain(u: TimeState, s: TimeState) -> str:
-        min_lt, max_ft, need_lt, need_ft = bounds(u, s)
-        problems = []
-        if min_lt < need_lt:
-            problems.append(
-                "min(Lt(G1), Lt(G2)) = {!r} < required {!r}".format(min_lt, need_lt)
+            need_lt, need_ft = source_lt("LOCAL"), NOW
+        return [
+            ineq
+            for grant in ("G1", "G2")
+            for ineq in (
+                Ineq(target_lt(grant), ">=", need_lt),
+                Ineq(target_ft(grant), "<=", need_ft),
             )
-        if max_ft > need_ft:
-            problems.append(
-                "max(Ft(G1), Ft(G2)) = {!r} > allowed {!r}".format(max_ft, need_ft)
-            )
-        return "; ".join(problems) or "inequalities hold (?)"
+        ]
 
     return InequalityMapping(
         source=algorithm,
         target=requirements,
-        predicate=predicate,
+        cases={timer: case(timer) for timer in range(params.k + 1)},
+        case_of=lambda astate: timer_of(astate),
         name="f: time(A,b) -> B (Section 4.3)",
-        explain=explain,
     )

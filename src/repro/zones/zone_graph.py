@@ -107,6 +107,12 @@ class ZoneGraphResult:
     watched: List[Hashable] = field(default_factory=list)
     #: True when a Budget (not max_nodes) stopped the exploration.
     exhausted_budget: bool = False
+    #: The maximal zones kept per discrete state ``(A-state, counts)``,
+    #: each taken at entry (before delay), and the clock index of every
+    #: clocked class: what a caller needs to read the reachable clock
+    #: valuations of an A-state.
+    kept: Dict[Tuple[Hashable, Tuple[int, ...]], List[DBM]] = field(default_factory=dict)
+    clocks: Dict[str, int] = field(default_factory=dict)
 
     def record(self, action: Hashable, occurrence: int) -> FiringRecord:
         key = (action, occurrence)
@@ -228,7 +234,9 @@ def explore_zone_graph(
                 zone.constrain(i + 1, 0, upper)
         return zone
 
-    result = ZoneGraphResult(nodes=0, transitions=0, truncated=False, firings={})
+    result = ZoneGraphResult(
+        nodes=0, transitions=0, truncated=False, firings={}, clocks=class_index
+    )
     if dbm_cls is DBM:
         # Flat engine: fix the rational grid once so no successor ever
         # pays a mid-flight rescale.
@@ -406,4 +414,7 @@ def explore_zone_graph(
                     survivors.append(entry)
                     kept[state_key] = survivors
                 frontier.append(entry)
+    result.kept = {
+        state: [entry[2] for entry in bucket] for state, bucket in kept.items()
+    }
     return result

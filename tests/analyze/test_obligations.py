@@ -43,12 +43,21 @@ class TestResourceManager:
             assert o.verdict is Verdict.PROVED, o
 
     def test_lemma_41_discharged_symbolically(self, all_results):
-        lemma = [o for o in all_results["rm"] if "lemma-4.1" in o.obligation]
-        assert len(lemma) == 1
-        assert lemma[0].verdict is Verdict.PROVED
-        assert lemma[0].method == "fourier-motzkin"
-        # The proof is by cases on how the TICK prediction got set.
-        assert len(lemma[0].cases) >= 2
+        # Lemma 4.1 is no obligation of its own: the steps proof reads it
+        # off rm's zone graph (x_LOCAL >= x_TICK at TIMER = 0) as a
+        # hypothesis, and consumes it in the GRANT case.  The zone graph
+        # also shows TICK cannot fire at TIMER = 0, so no case has it.
+        assert [o.obligation for o in all_results["rm"]] == [
+            "rm/base-identity",
+            "rm/initial",
+            "rm/steps",
+        ]
+        steps = all_results["rm"][-1]
+        assert steps.verdict is Verdict.PROVED
+        assert steps.method == "fourier-motzkin"
+        assert "zone graph" in steps.detail
+        assert "0 -GRANT-> 3" in steps.cases
+        assert not [case for case in steps.cases if case.startswith("0 -TICK")]
 
 
 class TestHierarchies:

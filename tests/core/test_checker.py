@@ -14,12 +14,25 @@ from repro.core.checker import (
     check_mapping_exhaustive,
     check_mapping_on_run,
 )
-from repro.core.mappings import InequalityMapping, MappingChain, ProjectionMapping
+from repro.core.mappings import (
+    NOW,
+    Ineq,
+    InequalityMapping,
+    MappingChain,
+    ProjectionMapping,
+    source_ft,
+    source_lt,
+    target_ft,
+    target_lt,
+)
 from repro.core.time_automaton import time_of_boundmap, time_of_conditions
 from repro.sim.scheduler import Simulator
 from repro.sim.strategies import UniformStrategy
 
 from tests.timed.test_conditions import pulse_timed
+
+#: The declaration that holds for no pair: one unsatisfiable inequality.
+FALSE = (Ineq(0, ">=", 1),)
 
 
 def pulse_setup(fire_interval=Interval(1, 2)):
@@ -34,26 +47,29 @@ def pulse_setup(fire_interval=Interval(1, 2)):
     mapping = InequalityMapping(
         algorithm,
         requirements,
-        predicate=_pulse_predicate(algorithm, requirements),
+        _PULSE_CASES,
+        case_of=_off,
         name="pulse-gap",
     )
     return timed, algorithm, requirements, mapping
 
 
-def _pulse_predicate(algorithm, requirements):
-    def predicate(u, s):
-        lt_gap = requirements.lt(u, "GAP")
-        ft_gap = requirements.ft(u, "GAP")
-        if s.astate == "off":
-            # arm within Lt(ARM), then fire within 2 more.
-            need_lt = algorithm.lt(s, "ARM") + 2
-            need_ft = algorithm.ft(s, "ARM") + 1
-        else:
-            need_lt = algorithm.lt(s, "FIRE")
-            need_ft = algorithm.ft(s, "FIRE")
-        return lt_gap >= need_lt and ft_gap <= need_ft
+def _off(astate) -> bool:
+    return astate == "off"
 
-    return predicate
+
+#: Off: arm within Lt(ARM), then fire within 2 more; on: fire's own
+#: prediction.
+_PULSE_CASES = {
+    True: [
+        Ineq(target_lt("GAP"), ">=", source_lt("ARM") + 2),
+        Ineq(target_ft("GAP"), "<=", source_ft("ARM") + 1),
+    ],
+    False: [
+        Ineq(target_lt("GAP"), ">=", source_lt("FIRE")),
+        Ineq(target_ft("GAP"), "<=", source_ft("FIRE")),
+    ],
+}
 
 
 def run_of(algorithm, seed=0, steps=40):
@@ -77,7 +93,7 @@ class TestRunChecker:
         algorithm = time_of_boundmap(timed)
         gap = TimingCondition.after_action("GAP", Interval(1, 3), "fire", {"fire"})
         requirements = time_of_conditions(timed.automaton, [gap], name="req")
-        mapping = InequalityMapping(algorithm, requirements, lambda u, s: True)
+        mapping = InequalityMapping(algorithm, requirements, ())
         failures = 0
         for seed in range(10):
             outcome = check_mapping_on_run(mapping, run_of(algorithm, seed, steps=60))
@@ -91,7 +107,7 @@ class TestRunChecker:
         algorithm = time_of_boundmap(timed)
         gap = TimingCondition.after_action("GAP", Interval(4, 10), "fire", {"fire"})
         requirements = time_of_conditions(timed.automaton, [gap], name="req")
-        mapping = InequalityMapping(algorithm, requirements, lambda u, s: True)
+        mapping = InequalityMapping(algorithm, requirements, ())
         failures = sum(
             0 if check_mapping_on_run(mapping, run_of(algorithm, seed, steps=60)).ok else 1
             for seed in range(10)
@@ -101,7 +117,7 @@ class TestRunChecker:
     def test_wrong_inequalities_fail_containment(self):
         _t, algorithm, requirements, _m = pulse_setup()
         bad = InequalityMapping(
-            algorithm, requirements, lambda u, s: requirements.lt(u, "GAP") >= 10**6
+            algorithm, requirements, [Ineq(target_lt("GAP"), ">=", 10**6)]
         )
         outcome = check_mapping_on_run(bad, run_of(algorithm, 0))
         assert not outcome.ok
@@ -109,7 +125,7 @@ class TestRunChecker:
 
     def test_raise_if_failed(self):
         _t, algorithm, requirements, _m = pulse_setup()
-        bad = InequalityMapping(algorithm, requirements, lambda u, s: False)
+        bad = InequalityMapping(algorithm, requirements, FALSE)
         with pytest.raises(MappingCheckError):
             check_mapping_on_run(bad, run_of(algorithm, 0)).raise_if_failed()
 
@@ -129,10 +145,16 @@ class TestChainChecker:
             name="mid",
         )
         top = time_of_conditions(timed.automaton, [gap_mid], name="top")
+        shared = [
+            Ineq(field(name), "==", mirror(name))
+            for name in ("FIRE", "ARM")
+            for field, mirror in ((target_ft, source_ft), (target_lt, source_lt))
+        ]
         m1 = InequalityMapping(
             algorithm,
             middle,
-            predicate=_chain_mid_predicate(algorithm, middle),
+            {off: shared + cases for off, cases in _PULSE_CASES.items()},
+            case_of=_off,
             name="to-mid",
         )
         m2 = ProjectionMapping(middle, top, name="to-top")
@@ -140,23 +162,6 @@ class TestChainChecker:
         for seed in range(4):
             outcome = check_chain_on_run(chain, run_of(algorithm, seed))
             assert outcome.ok, outcome.detail
-
-
-def _chain_mid_predicate(algorithm, middle):
-    def predicate(u, s):
-        for name in ("FIRE", "ARM"):
-            if u.preds[middle.index_of(name)] != s.preds[algorithm.index_of(name)]:
-                return False
-        lt_gap = middle.lt(u, "GAP")
-        ft_gap = middle.ft(u, "GAP")
-        if s.astate == "off":
-            return (
-                lt_gap >= algorithm.lt(s, "ARM") + 2
-                and ft_gap <= algorithm.ft(s, "ARM") + 1
-            )
-        return lt_gap >= algorithm.lt(s, "FIRE") and ft_gap <= algorithm.ft(s, "FIRE")
-
-    return predicate
 
 
 class TestExhaustiveChecker:
@@ -171,7 +176,7 @@ class TestExhaustiveChecker:
         algorithm = time_of_boundmap(timed)
         gap = TimingCondition.after_action("GAP", Interval(1, 3), "fire", {"fire"})
         requirements = time_of_conditions(timed.automaton, [gap], name="req")
-        mapping = InequalityMapping(algorithm, requirements, lambda u, s: True)
+        mapping = InequalityMapping(algorithm, requirements, ())
         outcome = check_mapping_exhaustive(mapping, grid=F(1, 2), horizon=F(10))
         assert not outcome.ok
 
@@ -211,7 +216,7 @@ class TestFailurePaths:
         gap = TimingCondition.after_action("GAP", Interval(1, 3), "fire", {"fire"})
         requirements = time_of_conditions(timed.automaton, [gap], name="req")
         mapping = InequalityMapping(
-            algorithm, requirements, lambda u, s: True, name="too-tight"
+            algorithm, requirements, (), name="too-tight"
         )
         for seed in range(10):
             outcome = check_mapping_on_run(mapping, run_of(algorithm, seed, steps=60))
@@ -236,24 +241,25 @@ class TestFailurePaths:
         bad = InequalityMapping(
             algorithm,
             requirements,
-            predicate=lambda u, s: s.now == 0,  # holds initially, fails later
+            [Ineq(NOW, "==", 0)],  # holds initially, fails later
             name="decays",
-            explain=lambda u, s: "custom-explanation at Ct={!r}".format(s.now),
         )
         outcome = check_mapping_on_run(bad, run_of(algorithm, 0))
         assert not outcome.ok
         assert "containment fails" in outcome.detail
-        assert "custom-explanation" in outcome.detail
+        # The failure text is derived from the declaration: the violated
+        # inequality with both sides' values.
+        assert "violates == 0 = 0" in outcome.detail
         with pytest.raises(MappingCheckError) as excinfo:
             outcome.raise_if_failed()
-        assert "custom-explanation" in str(excinfo.value)
+        assert "Ct = " in str(excinfo.value)
         assert excinfo.value.source_state is not None
         assert excinfo.value.target_state is not None
 
     def test_initial_condition_failure_states(self):
         _t, algorithm, requirements, _m = pulse_setup()
         bad = InequalityMapping(
-            algorithm, requirements, lambda u, s: False, name="never"
+            algorithm, requirements, FALSE, name="never"
         )
         outcome = check_mapping_on_run(bad, run_of(algorithm, 0))
         assert not outcome.ok and outcome.steps_checked == 0

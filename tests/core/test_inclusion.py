@@ -102,7 +102,7 @@ class TestAgreementWithMappingMethod:
             system.timed.automaton, [tight, g2], name="bad"
         )
         mapping = InequalityMapping(
-            system.algorithm, requirements, lambda u, s: True
+            system.algorithm, requirements, ()
         )
         mapping_ok = check_mapping_exhaustive(mapping, grid=F(1), horizon=F(8)).ok
         semantic_ok = check_semantic_inclusion(

@@ -264,14 +264,14 @@ class TestR010MappingBaseMismatch:
         target = time_of_conditions(
             other, [TimingCondition.build("C", Interval(1, 2), actions=["ping"])]
         )
-        mapping = InequalityMapping(source, target, lambda u, s: True, name="bad")
+        mapping = InequalityMapping(source, target, (), name="bad")
         (d,) = lint_mapping(mapping).by_rule("R010")
         assert d.severity is Severity.ERROR and "different automata" in d.message
 
     def test_lookalike_instances_warn(self):
         source = time_of_boundmap(pulse_timed())
         target = time_of_boundmap(pulse_timed())  # equal, but a new object
-        mapping = InequalityMapping(source, target, lambda u, s: True, name="twin")
+        mapping = InequalityMapping(source, target, (), name="twin")
         (d,) = lint_mapping(mapping).by_rule("R010")
         assert d.severity is Severity.WARNING and "look-alike" in d.message
 
@@ -282,7 +282,7 @@ class TestR010MappingBaseMismatch:
             timed.automaton,
             [TimingCondition.build("C", Interval(1, 2), actions=["fire"])],
         )
-        mapping = InequalityMapping(source, target, lambda u, s: True)
+        mapping = InequalityMapping(source, target, ())
         assert not lint_mapping(mapping).by_rule("R010")
 
 
@@ -305,8 +305,8 @@ class TestR011ChainBrokenLink:
             [TimingCondition.build("T", Interval(1, 9), actions=["fire"])],
             name="top",
         )
-        first = InequalityMapping(source, mid_a, lambda u, s: True, name="one")
-        second = InequalityMapping(mid_b, top, lambda u, s: True, name="two")
+        first = InequalityMapping(source, mid_a, (), name="one")
+        second = InequalityMapping(mid_b, top, (), name="two")
         report = lint_chain([first, second])
         (d,) = report.by_rule("R011")
         assert d.severity is Severity.ERROR and "'mid-a'" in d.message
@@ -325,8 +325,8 @@ class TestR011ChainBrokenLink:
             name="top",
         )
         chain = [
-            InequalityMapping(source, mid, lambda u, s: True),
-            InequalityMapping(mid, top, lambda u, s: True),
+            InequalityMapping(source, mid, ()),
+            InequalityMapping(mid, top, ()),
         ]
         assert not lint_chain(chain).by_rule("R011")
 

@@ -1,7 +1,6 @@
 """Lemma 6.2 / Corollary 6.3: the relay mapping hierarchy — per level,
 as a full chain, exhaustively, and refuted under mutation."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -12,10 +11,18 @@ from repro.core.checker import (
     check_mapping_exhaustive,
     check_mapping_on_run,
 )
-from repro.core.mappings import InequalityMapping, MappingChain
+from repro.core.mappings import (
+    Ineq,
+    InequalityMapping,
+    MappingChain,
+    source_ft,
+    source_lt,
+    target_ft,
+    target_lt,
+)
 from repro.sim.scheduler import Simulator
 from repro.sim.strategies import ExtremalStrategy, UniformStrategy
-from repro.systems.mappings_relay import (
+from repro.systems.signal_relay import (
     entry_mapping,
     exit_mapping,
     level_mapping,
@@ -24,7 +31,6 @@ from repro.systems.mappings_relay import (
 from repro.systems.signal_relay import (
     RelayParams,
     RelaySystem,
-    flags_of,
     signal_class_name,
 )
 from repro.timed.interval import Interval
@@ -121,33 +127,21 @@ class TestMutations:
         return False
 
     def test_wrong_partial_sum_refuted(self, relay_system):
-        """Claiming (n−k)·d2 − 1 instead of (n−k)·d2 in f_k's inequality
+        """Claiming (n−k)·d2 + 1 instead of (n−k)·d2 in f_k's inequality
         demands an unsatisfiable Lt and must fail containment."""
         n = relay_system.params.n
-        d1, d2 = relay_system.params.d1, relay_system.params.d2
         k = 1
-        source = relay_system.intermediate(k)
-        target = relay_system.intermediate(k - 1)
-        src_u = relay_system.condition_name(k)
-        tgt_u = relay_system.condition_name(k - 1)
-        shared = [signal_class_name(j) for j in range(k)] + ["NULL"]
-
-        def wrong(u, s):
-            for name in shared:
-                if u.preds[target.index_of(name)] != s.preds[source.index_of(name)]:
-                    return False
-            flags = flags_of(s.astate)
-            if any(flags[i] for i in range(k + 1, n + 1)):
-                need_lt = source.lt(s, src_u)
-                need_ft = source.ft(s, src_u)
-            elif flags[k]:
-                need_lt = source.lt(s, signal_class_name(k)) + (n - k) * d2 + 1
-                need_ft = source.ft(s, signal_class_name(k)) + (n - k) * d1
-            else:
-                need_lt, need_ft = math.inf, 0
-            return target.lt(u, tgt_u) >= need_lt and target.ft(u, tgt_u) <= need_ft
-
-        bad = InequalityMapping(source, target, wrong, name="broken f_1")
+        good = level_mapping(relay_system, k)
+        target_u = relay_system.condition_name(k - 1)
+        hop = relay_system.params.hop_interval(k)
+        cases = dict(good.cases)
+        cases["B"] = cases["B"][:-2] + (
+            Ineq(target_lt(target_u), ">=", source_lt(signal_class_name(k)) + hop.hi + 1),
+            Ineq(target_ft(target_u), "<=", source_ft(signal_class_name(k)) + hop.lo),
+        )
+        bad = InequalityMapping(
+            good.source, good.target, cases, case_of=good.case_of, name="broken f_1"
+        )
         chain = MappingChain(
             [entry_mapping(relay_system)]
             + [
@@ -175,6 +169,6 @@ class TestMutations:
         )
         bad_req = time_of_conditions(system.dummified.automaton, [tight], name="badB")
         mapping = InequalityMapping(
-            system.algorithm, bad_req, lambda u, s: True, name="permissive"
+            system.algorithm, bad_req, (), name="permissive"
         )
         assert self._refuted_on_runs(system, mapping, seeds=range(40))

@@ -7,11 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from repro.core.checker import check_mapping_exhaustive, check_mapping_on_run
-from repro.core.mappings import InequalityMapping
+from repro.core.mappings import Ineq, InequalityMapping, source_lt, target_lt
 from repro.core.time_automaton import time_of_conditions
 from repro.sim.scheduler import Simulator
 from repro.sim.strategies import ExtremalStrategy, LazyStrategy, UniformStrategy
-from repro.systems.mappings_rm import resource_manager_mapping
+from repro.systems.mappings_rm import (
+    resource_manager_mapping,
+    resource_manager_mapping_over,
+)
 from repro.systems.resource_manager import (
     ResourceManagerParams,
     ResourceManagerSystem,
@@ -95,21 +98,7 @@ def _mutated_requirements(system, g1_interval=None, g2_interval=None):
 def _mapping_against(system, requirements):
     """The Section 4.3 inequalities pointed at a (possibly wrong)
     requirements automaton."""
-    algorithm = system.algorithm
-    c1, c2, l = system.params.c1, system.params.c2, system.params.l
-
-    def predicate(u, s):
-        min_lt = min(requirements.lt(u, "G1"), requirements.lt(u, "G2"))
-        max_ft = max(requirements.ft(u, "G1"), requirements.ft(u, "G2"))
-        timer = timer_of(s.astate)
-        if timer > 0:
-            return (
-                min_lt >= algorithm.lt(s, "TICK") + (timer - 1) * c2 + l
-                and max_ft <= algorithm.ft(s, "TICK") + (timer - 1) * c1
-            )
-        return min_lt >= algorithm.lt(s, "LOCAL") and max_ft <= s.now
-
-    return InequalityMapping(algorithm, requirements, predicate, name="mutated")
+    return resource_manager_mapping_over(system.algorithm, requirements, system.params)
 
 
 class TestMutations:
@@ -167,16 +156,16 @@ class TestMutations:
     def test_wrong_inequality_constant_refuted(self, rm_system):
         # Break the mapping itself (drop the +l in the Lt inequality so
         # it demands too much): containment must fail somewhere.
-        algorithm = rm_system.algorithm
-        requirements = rm_system.requirements
-        c1, c2, l = rm_system.params.c1, rm_system.params.c2, rm_system.params.l
-
-        def too_strong(u, s):
-            min_lt = min(requirements.lt(u, "G1"), requirements.lt(u, "G2"))
-            timer = timer_of(s.astate)
-            if timer > 0:
-                return min_lt >= algorithm.lt(s, "TICK") + (timer - 1) * c2 + l + 1
-            return min_lt >= algorithm.lt(s, "LOCAL")
-
-        mapping = InequalityMapping(algorithm, requirements, too_strong)
+        c2, l = rm_system.params.c2, rm_system.params.l
+        cases = {
+            timer: [
+                Ineq(target_lt(g), ">=", source_lt("TICK") + ((timer - 1) * c2 + l + 1))
+                for g in ("G1", "G2")
+            ]
+            for timer in range(1, rm_system.params.k + 1)
+        }
+        cases[0] = [Ineq(target_lt(g), ">=", source_lt("LOCAL")) for g in ("G1", "G2")]
+        mapping = InequalityMapping(
+            rm_system.algorithm, rm_system.requirements, cases, case_of=timer_of
+        )
         assert self._refuted(rm_system, mapping)

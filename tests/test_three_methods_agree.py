@@ -44,7 +44,7 @@ def mapping_verdict(timed, claim: Interval) -> bool:
     algorithm = time_of_boundmap(timed)
     gap = TimingCondition.after_action("GAP", claim, "fire", {"fire"})
     requirements = time_of_conditions(timed.automaton, [gap], name="claim")
-    mapping = InequalityMapping(algorithm, requirements, lambda u, s: True)
+    mapping = InequalityMapping(algorithm, requirements, ())
     return check_mapping_exhaustive(mapping, grid=F(1, 2), horizon=F(12)).ok
 
 
