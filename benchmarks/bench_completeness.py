@@ -8,7 +8,7 @@ dummified resource manager and relay; benchmarks the estimator.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import (
     CanonicalMapping,
     ExhaustiveFirstEstimator,

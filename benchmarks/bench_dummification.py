@@ -9,7 +9,7 @@ condition satisfaction).  Benchmarks the undum transformation.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import dummify_condition, project, time_of_boundmap, undum
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import RelayParams, RelaySystem, relay_condition

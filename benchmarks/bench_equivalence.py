@@ -9,7 +9,7 @@ agreement check.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import project, time_of_boundmap
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import (

@@ -8,7 +8,7 @@ ablation.  Benchmarks one full safety decision.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import time_of_boundmap
 from repro.sim import ExtremalStrategy, Simulator, UniformStrategy
 from repro.systems.extensions import (

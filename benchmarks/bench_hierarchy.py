@@ -9,8 +9,8 @@ the recurrence-structured proof, paid once per hop).
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator
+from repro.table import Table
 from repro.core import check_chain_on_run
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import SIGNAL, RelayParams, RelaySystem, relay_hierarchy
@@ -54,6 +54,7 @@ def test_e5_hierarchy(benchmark):
         chain = relay_hierarchy(system)
         steps, delays = check_hierarchy(system, chain)
         # Theorem 6.4: every run relays the signal in [n·d1, n·d2].
+        assert params.end_to_end_interval == Interval(n * params.d1, n * params.d2)
         assert delays.count == 8
         assert delays.all_within(params.end_to_end_interval), (n, delays)
         assert len(chain) == n + 1

@@ -8,7 +8,7 @@ seeded runs; benchmarks the exhaustive sweep.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core.discretize import discrete_options
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import (

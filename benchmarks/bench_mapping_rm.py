@@ -10,7 +10,7 @@ checker.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import check_mapping_exhaustive, check_mapping_on_run
 from repro.core.mappings import InequalityMapping
 from repro.core.time_automaton import time_of_conditions

@@ -16,7 +16,7 @@ must contain the predicted breaking point:
 
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.catalog import SURFACE_SYSTEMS
 from repro.faults import Budget, build_perturb_target
 

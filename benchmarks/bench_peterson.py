@@ -10,8 +10,8 @@ recurrence argument, across a parameter sweep.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.recurrence import peterson_first_entry_chain
-from repro.analysis.report import Table
+from repro.analyze.recurrence import peterson_first_entry_chain
+from repro.table import Table
 from repro.ioa.explorer import check_invariant
 from repro.systems.extensions.peterson import (
     ENTER,

@@ -8,7 +8,7 @@ original execution uniquely.  Benchmarks the round trip.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import lift, project, time_of_boundmap
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import ResourceManagerParams, resource_manager

@@ -10,12 +10,12 @@ machine-checked per-step guarantee).
 
 from fractions import Fraction as F
 
-from repro.analysis.recurrence import (
+from repro.analyze.recurrence import (
     relay_chain,
     rm_first_grant_chain,
     rm_grant_gap_chain,
 )
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.systems import (
     GRANT,
     SIGNAL,

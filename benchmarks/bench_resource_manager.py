@@ -8,11 +8,12 @@ simulation spans, and benchmarks the simulation kernel.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator, gaps, occurrence_times
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator, gaps, occurrence_times
+from repro.table import Table
 from repro.sim import ExtremalStrategy, Simulator, UniformStrategy
 from repro.sim.trace import timed_behavior_of_run
 from repro.systems import GRANT, ResourceManagerParams, ResourceManagerSystem
+from repro.timed import Interval
 
 from conftest import emit
 
@@ -70,6 +71,9 @@ def test_e1_grant_bounds_sweep(benchmark):
     # Theorem 4.4 on every measured point: every run grants, first
     # grants land in [k·c1, k·c2 + l], gaps in [k·c1 − l, k·c2 + l].
     for params, first, gap in results:
+        k, c1, c2, l = params.k, params.c1, params.c2, params.l
+        assert params.first_grant_interval == Interval(k * c1, k * c2 + l)
+        assert params.grant_gap_interval == Interval(k * c1 - l, k * c2 + l)
         assert first.count == 12, params
         assert gap.count > 0, params
         assert first.all_within(params.first_grant_interval), (params, first)

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import check_chain_on_run
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import (

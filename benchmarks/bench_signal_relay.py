@@ -7,8 +7,8 @@ delay spans; benchmarks the relay simulation.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator, separations_after
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator, separations_after
+from repro.table import Table
 from repro.core import project, undum
 from repro.sim import ExtremalStrategy, Simulator, UniformStrategy
 from repro.systems import SIGNAL, RelayParams, RelaySystem

@@ -10,9 +10,11 @@ that uniform sampling approaches only slowly.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import gaps, occurrence_times
-from repro.analysis.report import Table
-from repro.analysis.stats import interval_coverage
+import pytest
+
+from repro.errors import ReproError
+from repro.sim.bounds import gaps, occurrence_times
+from repro.table import Table
 from repro.sim import (
     EagerStrategy,
     ExtremalStrategy,
@@ -36,6 +38,53 @@ STRATEGIES = {
 
 RUNS = 12
 STEPS = 200
+
+
+def interval_coverage(values, interval):
+    """How much of ``interval`` the sample's span covers, as a Fraction
+    in ``[0, 1]``: ``(max − min) / (hi − lo)``.
+
+    1 means both ends were attained; 0 means at most a point was seen.
+    A zero-width interval counts as fully covered by any non-empty
+    sample; a sample outside the interval, or an unbounded interval,
+    raises.
+    """
+    if not values:
+        return F(0)
+    low, high = min(values), max(values)
+    if not (interval.contains(low) and interval.contains(high)):
+        raise ReproError(
+            "sample span [{!r}, {!r}] escapes the interval {!r}".format(
+                low, high, interval
+            )
+        )
+    if not interval.is_upper_bounded:
+        raise ReproError("coverage of an unbounded interval is undefined")
+    if interval.width == 0:
+        return F(1)
+    return F(high - low) / F(interval.width)
+
+
+@pytest.mark.parametrize(
+    "values, interval, coverage",
+    [
+        ([2, 5], Interval(2, 5), 1),
+        ([2, F(7, 2)], Interval(2, 5), F(1, 2)),
+        ([], Interval(2, 5), 0),
+        ([3], Interval(2, 5), 0),
+        ([2], Interval(2, 2), 1),
+    ],
+)
+def test_interval_coverage(values, interval, coverage):
+    assert interval_coverage(values, interval) == coverage
+
+
+@pytest.mark.parametrize(
+    "values, interval", [([1, 3], Interval(2, 5)), ([3], Interval.at_least(2))]
+)
+def test_interval_coverage_rejects(values, interval):
+    with pytest.raises(ReproError):
+        interval_coverage(values, interval)
 
 
 def gap_samples(system, strategy_cls, runs=RUNS, steps=STEPS):

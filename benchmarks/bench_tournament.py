@@ -13,8 +13,8 @@ at ``3·h·[s1, s2]``.
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator
+from repro.table import Table
 from repro.core.time_automaton import time_of_boundmap
 from repro.ioa.explorer import check_invariant
 from repro.sim import ExtremalStrategy, Simulator, UniformStrategy

@@ -8,7 +8,7 @@ with the polling variant's).  Benchmarks one zone query.
 
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.systems import (
     GRANT,
     SIGNAL,

@@ -8,7 +8,7 @@ and times the underlying machinery with pytest-benchmark.
 
 import sys
 
-from repro.analysis.report import Table
+from repro.table import Table
 
 _CONFIG = None
 

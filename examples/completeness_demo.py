@@ -17,7 +17,7 @@ Run:  python examples/completeness_demo.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import (
     CanonicalMapping,
     ExhaustiveFirstEstimator,

@@ -14,8 +14,8 @@ Run:  python examples/custom_system.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator, separations_after
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator, separations_after
+from repro.table import Table
 from repro.core import check_chain_on_run, project, time_of_boundmap
 from repro.sim import Simulator, UniformStrategy
 from repro.systems.extensions import (

@@ -10,7 +10,7 @@ Run:  python examples/exact_bounds_zones.py
 
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.systems import (
     GRANT,
     SIGNAL,

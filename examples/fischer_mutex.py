@@ -15,7 +15,7 @@ Run:  python examples/fischer_mutex.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.core import time_of_boundmap
 from repro.sim import ExtremalStrategy, Simulator
 from repro.systems.extensions import (

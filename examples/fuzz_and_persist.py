@@ -20,7 +20,7 @@ Run:  python examples/fuzz_and_persist.py
 import os
 import tempfile
 
-from repro.analysis.report import Table
+from repro.table import Table
 from repro.gen import build_bundle, sample_names
 from repro.gen.fuzzer import load_reproducer, run_campaign, write_reproducer
 

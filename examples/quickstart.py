@@ -12,8 +12,8 @@ Run:  python examples/quickstart.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator, gaps, occurrence_times
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator, gaps, occurrence_times
+from repro.table import Table
 from repro.core import check_mapping_on_run, project
 from repro.sim import Simulator, UniformStrategy
 from repro.sim.trace import timed_behavior_of_run

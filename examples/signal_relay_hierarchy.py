@@ -16,9 +16,9 @@ Run:  python examples/signal_relay_hierarchy.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator, separations_after
-from repro.analysis.recurrence import relay_chain
-from repro.analysis.report import Table
+from repro.sim.bounds import BoundsAccumulator, separations_after
+from repro.analyze.recurrence import relay_chain
+from repro.table import Table
 from repro.core import check_chain_on_run, project, undum
 from repro.sim import Simulator, UniformStrategy
 from repro.systems import (

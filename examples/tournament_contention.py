@@ -17,9 +17,9 @@ Run:  python examples/tournament_contention.py
 import random
 from fractions import Fraction as F
 
-from repro.analysis.bounds import BoundsAccumulator
-from repro.analysis.report import Table
-from repro.analysis.timeline import render_timeline
+from repro.sim.bounds import BoundsAccumulator
+from repro.table import Table
+from repro.sim.timeline import render_timeline
 from repro.core.time_automaton import time_of_boundmap
 from repro.ioa.explorer import check_invariant
 from repro.sim import ExtremalStrategy, Simulator, UniformStrategy

@@ -11,13 +11,16 @@ The library provides:
   construction with predictive timing state, strong possibilities
   mappings with machine checkers, dummification, and the completeness
   (canonical mapping) construction;
-- :mod:`repro.sim` — seeded discrete-event simulation of timed systems;
+- :mod:`repro.sim` — seeded discrete-event simulation of timed systems,
+  bound measurement over its runs and execution timelines;
 - :mod:`repro.zones` — exact DBM/zone reachability for event-separation
   bounds;
 - :mod:`repro.systems` — the paper's resource manager and signal relay,
   their requirements and mappings, plus the Section 8 extensions;
-- :mod:`repro.analysis` — bound measurement, the properties ``P``/``Q``,
-  the operational recurrence baseline, and report tables.
+- :mod:`repro.analyze` — static proofs: Fourier–Motzkin obligation
+  discharge, interference rules, closed-form bounds and the operational
+  recurrence baseline;
+- :mod:`repro.table` — plain-text report tables.
 
 Quickstart::
 

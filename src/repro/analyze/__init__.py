@@ -13,7 +13,8 @@ Three passes over each shipped system:
    the ``interference`` target.
 3. **Closed-form bound derivation** (:mod:`repro.analyze.composition`):
    the Theorem 6.4 ``B_k`` hierarchy constant-folded and cross-checked
-   against the bounds each system declares.
+   against the bounds each system declares, and against the operational
+   milestone chains of :mod:`repro.analyze.recurrence`.
 
 The driver (:mod:`repro.analyze.driver`) folds all three into one
 :class:`~repro.analyze.driver.AnalyzeReport` per system and records

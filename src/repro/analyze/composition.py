@@ -72,7 +72,7 @@ def derived_bounds(name: str) -> List[DerivedBound]:
 
 
 def _rm_bounds(name: str, system) -> List[DerivedBound]:
-    from repro.analysis.recurrence import rm_first_grant_chain, rm_grant_gap_chain
+    from repro.analyze.recurrence import rm_first_grant_chain, rm_grant_gap_chain
 
     p = system.params
     tick = Interval(p.c1, p.c2)
@@ -118,33 +118,11 @@ def _rm_bounds(name: str, system) -> List[DerivedBound]:
     return results
 
 
-def _relay_bounds(name: str, system) -> List[DerivedBound]:
-    p = system.params
-    hop = Interval(p.d1, p.d2)
-    results = [
-        DerivedBound(
-            system=name,
-            label="end-to-end",
-            derived=hop.scale(p.n),
-            declared=p.end_to_end_interval,
-            detail="n relay hops of [d1, d2] each: [n*d1, n*d2] (Theorem 6.4)",
-        )
-    ]
-    for k in range(p.n):
-        results.append(
-            DerivedBound(
-                system=name,
-                label="U[{},{}]".format(k, p.n),
-                derived=hop.scale(p.n - k),
-                declared=p.hop_interval(k),
-                detail="the B_k hierarchy bound: (n - k) remaining hops",
-            )
-        )
-    return results
-
-
-def _chain_bounds(name: str, system) -> List[DerivedBound]:
-    from repro.systems.extensions.chain import partial_sum_interval
+def _line_bounds(name: str, system) -> List[DerivedBound]:
+    """A relay's or a chain's bounds: the fold of the stages after
+    ``k`` against ``U_{k,n}``'s declared partial sum, end to end
+    (``k = 0``, Theorem 6.4) and for every intermediate level."""
+    from repro.systems.signal_relay import partial_sum_interval
 
     stages = system.stages
     results = [
@@ -153,7 +131,7 @@ def _chain_bounds(name: str, system) -> List[DerivedBound]:
             label="end-to-end",
             derived=_fold(stages),
             declared=partial_sum_interval(stages, 0),
-            detail="Minkowski sum of all stage bounds",
+            detail="Minkowski sum of stages 1..{} (Theorem 6.4)".format(system.n),
         )
     ]
     for k in range(1, system.n):
@@ -163,14 +141,15 @@ def _chain_bounds(name: str, system) -> List[DerivedBound]:
                 label="U[{},{}]".format(k, system.n),
                 derived=_fold(stages[k:]),
                 declared=partial_sum_interval(stages, k),
-                detail="partial Minkowski sum of the remaining stages",
+                detail="the B_k hierarchy bound: Minkowski sum of stages "
+                "{}..{}".format(k + 1, system.n),
             )
         )
     return results
 
 
 def _fischer_bounds(name: str, params) -> List[DerivedBound]:
-    from repro.analysis.recurrence import fischer_first_entry_chain
+    from repro.analyze.recurrence import fischer_first_entry_chain
 
     derived = Interval(0, params.a) + Interval(params.b, 2 * params.b)
     return [
@@ -185,7 +164,7 @@ def _fischer_bounds(name: str, params) -> List[DerivedBound]:
 
 
 def _tournament_bounds(name: str, params) -> List[DerivedBound]:
-    from repro.analysis.recurrence import peterson_first_entry_chain
+    from repro.analyze.recurrence import peterson_first_entry_chain
 
     if params.n != 2:
         # Width >= 4 entry-upper bounds are decided on the zone graph
@@ -205,7 +184,7 @@ def _tournament_bounds(name: str, params) -> List[DerivedBound]:
 
 
 def _peterson_bounds(name: str, params) -> List[DerivedBound]:
-    from repro.analysis.recurrence import peterson_first_entry_chain
+    from repro.analyze.recurrence import peterson_first_entry_chain
 
     step = params.step_interval
     return [

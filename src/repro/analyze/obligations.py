@@ -335,7 +335,7 @@ def _fischer_obligation(system_name: str, params) -> ObligationResult:
 
 
 def _peterson_obligation(system_name: str, params) -> ObligationResult:
-    from repro.analysis.recurrence import peterson_first_entry_chain
+    from repro.analyze.recurrence import peterson_first_entry_chain
 
     derived = params.step_interval.scale(3)
     declared = peterson_first_entry_chain(params.step_interval).total()
@@ -377,7 +377,7 @@ def _tournament_obligations(system_name: str, params) -> List[ObligationResult]:
       ``method="deferred"``, so gates never fail on it and downstream
       tooling can recognise the deferral.
     """
-    from repro.analysis.recurrence import peterson_first_entry_chain
+    from repro.analyze.recurrence import peterson_first_entry_chain
 
     height = params.height
     step = params.step_interval

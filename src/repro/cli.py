@@ -1,25 +1,23 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Exposes the paper's two systems for quick experimentation without
-writing code:
+Every verdict command takes a shipped system (``repro.surface``),
+``all`` or a generated ``gen:`` name:
 
-- ``rm``       simulate the resource manager, measure Theorem 4.4's
-               bounds and machine-check the Section 4.3 mapping;
-- ``relay``    simulate the signal relay and machine-check the whole
-               Section 6 mapping hierarchy;
-- ``zones``    exact bounds for either system via zone reachability;
-- ``verify``   exact verdict for a user-claimed interval;
-- ``timeline`` print one run as a timeline with predictions;
-- ``fischer``  exact mutual-exclusion verdict for Fischer's protocol;
-- ``lint``     static pre-flight diagnostics for a shipped system's
-               boundmaps, timing conditions and mapping hierarchies;
-- ``check``    full nominal verification of a shipped system —
-               exploration, exhaustive Definition 3.2 mapping checks and
-               the proof battery, verdict-cached;
+- ``lint``     static pre-flight diagnostics for a system's boundmaps,
+               timing conditions and mapping hierarchies;
+- ``analyze``  static proofs: symbolic obligation discharge,
+               interference rules and closed-form bounds;
+- ``check``    full nominal verification — exploration, exhaustive
+               Definition 3.2 mapping checks and the proof battery,
+               whose zone checks report each declared interval's exact
+               bound — verdict-cached;
 - ``perturb``  fault injection: how much drift do the proofs survive?;
-- ``trace``    replayable JSONL telemetry trace of a checked run;
 - ``run``      supervised verification campaign: crash-isolated
-               workers, watchdogs, retry/backoff, checkpoint/resume.
+               workers, watchdogs, retry/backoff, checkpoint/resume;
+- ``gen``      generated-system families and the differential fuzzer;
+- ``dist``     the multi-host campaign worker daemon;
+- ``serve``    the verification-as-a-service HTTP daemon;
+- ``trace``    replayable JSONL telemetry trace of a checked run.
 
 Exit codes follow one convention (the full table is in docs/api.md):
 0 — everything requested passed; 1 — at least one requested system or
@@ -59,7 +57,6 @@ def _arg_type(validate):
     return parse
 
 
-_fraction = _arg_type(catalog.exact)
 _positive_int = _arg_type(catalog.positive_int)
 _nonneg_int = _arg_type(catalog.nonneg_int)
 _positive_fraction = _arg_type(lambda text: Fraction(catalog.positive_fraction(text)))
@@ -83,42 +80,6 @@ def _gen_aware_system(kind: str):
     return validate
 
 
-def _rm_params(args):
-    from repro.systems import ResourceManagerParams
-
-    return ResourceManagerParams(k=args.k, c1=args.c1, c2=args.c2, l=args.l)
-
-
-def _relay_params(args):
-    from repro.systems import RelayParams
-
-    return RelayParams(n=args.n, d1=args.d1, d2=args.d2)
-
-
-def _add_rm_arguments(parser) -> None:
-    parser.add_argument("--k", type=int, default=3, help="ticks per grant")
-    parser.add_argument("--c1", type=_fraction, default=Fraction(2), help="tick lower bound")
-    parser.add_argument("--c2", type=_fraction, default=Fraction(3), help="tick upper bound")
-    parser.add_argument("--l", type=_fraction, default=Fraction(1), help="local step bound")
-
-
-def _add_relay_arguments(parser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="line length")
-    parser.add_argument("--d1", type=_fraction, default=Fraction(1), help="hop lower bound")
-    parser.add_argument("--d2", type=_fraction, default=Fraction(2), help="hop upper bound")
-
-
-def _add_sim_arguments(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument(
-        "--sim-runs", type=int, default=0,
-        help="additionally simulate this many seeded runs",
-    )
-    parser.add_argument(
-        "--sim-steps", type=int, default=120, help="events per simulated run"
-    )
-
-
 def _add_cache_argument(parser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -137,256 +98,6 @@ def _cli_cache(args):
 def _print_cache_stats(cache) -> None:
     if cache is not None:
         print(cache.stats_line(), file=sys.stderr)
-
-
-def cmd_rm(args) -> int:
-    import random
-
-    from repro.analysis.bounds import BoundsAccumulator, gaps, occurrence_times
-    from repro.analysis.report import Table
-    from repro.core import check_mapping_on_run
-    from repro.sim import Simulator, UniformStrategy
-    from repro.sim.trace import timed_behavior_of_run
-    from repro.systems import GRANT, ResourceManagerSystem, resource_manager_mapping
-
-    params = _rm_params(args)
-    system = ResourceManagerSystem(params)
-    mapping = resource_manager_mapping(system)
-    first = BoundsAccumulator()
-    gap = BoundsAccumulator()
-    for seed in range(args.seed, args.seed + args.seeds):
-        run = Simulator(system.algorithm, UniformStrategy(random.Random(seed))).run(
-            max_steps=args.steps
-        )
-        check_mapping_on_run(mapping, run).raise_if_failed()
-        times = occurrence_times(
-            timed_behavior_of_run(system.timed.automaton, run), GRANT
-        )
-        if times:
-            first.add(times[0])
-            gap.add_all(gaps(times))
-    table = Table("resource manager — Theorem 4.4", [
-        "quantity", "paper", "measured", "within",
-    ])
-    table.add_row("first GRANT", repr(params.first_grant_interval),
-                  repr(first.span()), first.all_within(params.first_grant_interval))
-    table.add_row("GRANT gap", repr(params.grant_gap_interval),
-                  repr(gap.span()), gap.all_within(params.grant_gap_interval))
-    table.print()
-    print("\nSection 4.3 mapping checked on {} runs: holds".format(args.seeds))
-    return 0
-
-
-def cmd_relay(args) -> int:
-    import random
-
-    from repro.analysis.bounds import BoundsAccumulator, separations_after
-    from repro.analysis.report import Table
-    from repro.core import check_chain_on_run, project, undum
-    from repro.sim import Simulator, UniformStrategy
-    from repro.systems import SIGNAL, RelaySystem, relay_hierarchy
-
-    params = _relay_params(args)
-    system = RelaySystem(params)
-    chain = relay_hierarchy(system)
-    delays = BoundsAccumulator()
-    for seed in range(args.seed, args.seed + args.seeds):
-        run = Simulator(system.algorithm, UniformStrategy(random.Random(seed))).run(
-            max_steps=args.steps
-        )
-        check_chain_on_run(chain, run).raise_if_failed()
-        seq = undum(project(run))
-        delays.add_all(separations_after(seq.events, SIGNAL(0), SIGNAL(params.n)))
-    table = Table("signal relay — Theorem 6.4", [
-        "quantity", "paper", "measured", "within",
-    ])
-    table.add_row("SIGNAL_0 → SIGNAL_n", repr(params.end_to_end_interval),
-                  repr(delays.span()), delays.all_within(params.end_to_end_interval))
-    table.print()
-    print("\n{}-level hierarchy checked on {} runs: holds".format(len(chain), args.seeds))
-    return 0
-
-
-def cmd_zones(args) -> int:
-    from repro.analysis.report import Table
-    from repro.systems import GRANT, SIGNAL, resource_manager, signal_relay
-    from repro.zones import absolute_event_bounds, event_separation_bounds
-
-    table = Table("exact bounds (zone reachability)", [
-        "quantity", "paper", "exact", "tight",
-    ])
-    if args.system == "rm":
-        params = _rm_params(args)
-        timed = resource_manager(params)
-        first = absolute_event_bounds(timed, GRANT)
-        table.add_row("first GRANT", repr(params.first_grant_interval), repr(first),
-                      first.tight(params.first_grant_interval))
-        gap = event_separation_bounds(timed, GRANT, occurrence=2, reset_on=[GRANT])
-        table.add_row("GRANT gap", repr(params.grant_gap_interval), repr(gap),
-                      gap.tight(params.grant_gap_interval))
-    else:
-        params = _relay_params(args)
-        bounds = event_separation_bounds(
-            signal_relay(params), SIGNAL(params.n), occurrence=1, reset_on=[SIGNAL(0)]
-        )
-        table.add_row("SIGNAL_0 → SIGNAL_n", repr(params.end_to_end_interval),
-                      repr(bounds), bounds.tight(params.end_to_end_interval))
-    table.print()
-    return 0
-
-
-def cmd_verify(args) -> int:
-    from repro.systems import GRANT, SIGNAL, resource_manager, signal_relay
-    from repro.timed import Interval
-    from repro.zones import verify_event_condition
-
-    claimed = Interval(args.lo, args.hi)
-    if args.system == "rm":
-        params = _rm_params(args)
-        report = verify_event_condition(
-            resource_manager(params), GRANT, GRANT, claimed, occurrences=2
-        )
-        subject = "GRANT-to-GRANT gap"
-    else:
-        params = _relay_params(args)
-        report = verify_event_condition(
-            signal_relay(params), SIGNAL(0), SIGNAL(params.n), claimed
-        )
-        subject = "SIGNAL_0-to-SIGNAL_n delay"
-    print("claim: {} in {!r}".format(subject, claimed))
-    print("verdict: {}".format(report.verdict.value))
-    if report.exact is not None:
-        print("exact reachable separation: {!r}".format(report.exact))
-    return 0 if report.verdict.holds else 1
-
-
-def cmd_timeline(args) -> int:
-    import random
-
-    from repro.analysis.timeline import render_timeline
-    from repro.sim import Simulator, UniformStrategy
-    from repro.systems import RelaySystem, ResourceManagerSystem
-
-    if args.system == "rm":
-        system = ResourceManagerSystem(_rm_params(args))
-        automaton = system.algorithm
-    else:
-        system = RelaySystem(_relay_params(args))
-        automaton = system.algorithm
-    run = Simulator(automaton, UniformStrategy(random.Random(args.seed))).run(
-        max_steps=args.steps
-    )
-    print(render_timeline(run, automaton, limit=args.steps))
-    return 0
-
-
-def _seeded_safety_runs(automaton, predicate, seed: int, runs: int, steps: int) -> int:
-    """Simulate ``runs`` seeded UniformStrategy runs and count states
-    violating ``predicate`` — the reproducible-from-the-CLI complement
-    to the exact zone verdict."""
-    import random
-
-    from repro.sim import Simulator, UniformStrategy
-
-    violations = 0
-    for offset in range(runs):
-        run = Simulator(automaton, UniformStrategy(random.Random(seed + offset))).run(
-            max_steps=steps
-        )
-        violations += sum(1 for s in run.states if predicate(s.astate))
-    return violations
-
-
-def cmd_fischer(args) -> int:
-    import math
-
-    from repro.systems.extensions.fischer import (
-        FischerParams,
-        fischer_system,
-        mutual_exclusion_violated,
-    )
-    from repro.zones.analysis import find_reachable_state
-
-    e = math.inf if args.e is None else args.e
-    params = FischerParams(n=args.n, a=args.a, b=args.b, e=e)
-    bad = find_reachable_state(
-        fischer_system(params), mutual_exclusion_violated, max_nodes=args.max_nodes
-    )
-    print(
-        "Fischer n={} a={} b={} e={}".format(
-            params.n, params.a, params.b, "inf" if e == math.inf else e
-        )
-    )
-    violations = None
-    if args.sim_runs:
-        from repro.core import time_of_boundmap
-
-        sim_params = FischerParams(
-            n=args.n, a=args.a, b=args.b, e=params.e if args.e is not None else 1
-        )
-        violations = _seeded_safety_runs(
-            time_of_boundmap(fischer_system(sim_params)),
-            mutual_exclusion_violated,
-            seed=args.seed,
-            runs=args.sim_runs,
-            steps=args.sim_steps,
-        )
-        print(
-            "simulation: {} seeded runs (seed base {}): {} violation(s)".format(
-                args.sim_runs, args.seed, violations
-            )
-        )
-    if bad is None:
-        print("verdict: SAFE (no double-critical state is timed-reachable)")
-        return 0 if not violations else 1
-    print("verdict: VIOLABLE — reachable state {!r}".format(bad))
-    return 1
-
-
-def cmd_peterson(args) -> int:
-    from repro.analysis.recurrence import peterson_first_entry_chain
-    from repro.systems.extensions.peterson import (
-        ENTER,
-        PetersonParams,
-        both_critical,
-        peterson_system,
-    )
-    from repro.zones.analysis import event_separation_bounds, find_reachable_state
-
-    params = PetersonParams(s1=args.s1, s2=args.s2)
-    bounds = event_separation_bounds(
-        peterson_system(params), {ENTER(1), ENTER(2)}, occurrence=1,
-        max_nodes=args.max_nodes,
-    )
-    operational = peterson_first_entry_chain(params.step_interval).total()
-    bad = find_reachable_state(
-        peterson_system(PetersonParams(s1=args.s1, s2=args.s2, e=args.s2, repeat=True)),
-        both_critical,
-        max_nodes=args.max_nodes,
-    )
-    print("Peterson 2-process, step bound [{}, {}]".format(params.s1, params.s2))
-    print("mutual exclusion: {}".format("holds" if bad is None else "VIOLATED (bug!)"))
-    print("first entry under contention (exact): {!r}".format(bounds))
-    print("recurrence argument (3 winner steps): {!r}".format(operational))
-    agree = (bounds.lo, bounds.hi) == (operational.lo, operational.hi)
-    print("agreement: {}".format("yes" if agree else "no"))
-    violations = 0
-    if args.sim_runs:
-        from repro.core import time_of_boundmap
-
-        violations = _seeded_safety_runs(
-            time_of_boundmap(peterson_system(params)),
-            both_critical,
-            seed=args.seed,
-            runs=args.sim_runs,
-            steps=args.sim_steps,
-        )
-        print(
-            "simulation: {} seeded runs (seed base {}): {} violation(s)".format(
-                args.sim_runs, args.seed, violations
-            )
-        )
-    return 0 if (bad is None and agree and not violations) else 1
 
 
 def _verdict_command(args, kind, entry_of, failed, render, **extra) -> int:
@@ -820,7 +531,7 @@ def _check_entry(name: str, args, cache) -> dict:
 
 
 def _render_check(entries) -> None:
-    from repro.analysis.report import Table
+    from repro.table import Table
 
     table = Table("check — full nominal verification", [
         "system", "states", "zones", "mappings", "battery", "cached", "verdict",
@@ -843,6 +554,11 @@ def _render_check(entries) -> None:
             verdict,
         )
     table.print()
+    for entry in entries:
+        if entry["battery"]["detail"]:
+            print("{} battery:".format(entry["system"]))
+            for line in entry["battery"]["detail"].split("; "):
+                print("  " + line)
     print()
 
 
@@ -1068,65 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rm = sub.add_parser("rm", help="simulate + check the resource manager")
-    _add_rm_arguments(rm)
-    rm.add_argument("--seeds", type=int, default=10)
-    rm.add_argument("--steps", type=int, default=300)
-    rm.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    rm.set_defaults(func=cmd_rm)
-
-    relay = sub.add_parser("relay", help="simulate + check the signal relay")
-    _add_relay_arguments(relay)
-    relay.add_argument("--seeds", type=int, default=10)
-    relay.add_argument("--steps", type=int, default=120)
-    relay.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    relay.set_defaults(func=cmd_relay)
-
-    zones = sub.add_parser("zones", help="exact bounds via zone reachability")
-    zones.add_argument("system", choices=["rm", "relay"])
-    _add_rm_arguments(zones)
-    _add_relay_arguments(zones)
-    zones.set_defaults(func=cmd_zones)
-
-    verify = sub.add_parser("verify", help="verify a claimed interval exactly")
-    verify.add_argument("system", choices=["rm", "relay"])
-    verify.add_argument("lo", type=_fraction, help="claimed lower bound")
-    verify.add_argument("hi", type=_fraction, help="claimed upper bound")
-    _add_rm_arguments(verify)
-    _add_relay_arguments(verify)
-    verify.set_defaults(func=cmd_verify)
-
-    timeline = sub.add_parser("timeline", help="print one run as a timeline")
-    timeline.add_argument("system", choices=["rm", "relay"])
-    timeline.add_argument("--seed", type=int, default=0)
-    timeline.add_argument("--steps", type=int, default=25)
-    _add_rm_arguments(timeline)
-    _add_relay_arguments(timeline)
-    timeline.set_defaults(func=cmd_timeline)
-
-    fischer = sub.add_parser(
-        "fischer", help="exact mutual-exclusion verdict for Fischer's protocol"
-    )
-    fischer.add_argument("--n", type=int, default=2, help="number of processes")
-    fischer.add_argument("--a", type=_fraction, default=Fraction(1), help="set delay bound")
-    fischer.add_argument("--b", type=_fraction, default=Fraction(2), help="wait-before-check")
-    fischer.add_argument(
-        "--e", type=_fraction, default=None,
-        help="critical-section bound (default: unbounded)",
-    )
-    fischer.add_argument("--max-nodes", type=int, default=400_000)
-    _add_sim_arguments(fischer)
-    fischer.set_defaults(func=cmd_fischer)
-
-    peterson = sub.add_parser(
-        "peterson", help="Peterson 2-process: mutex + exact contention bound"
-    )
-    peterson.add_argument("--s1", type=_fraction, default=Fraction(1), help="step lower bound")
-    peterson.add_argument("--s2", type=_fraction, default=Fraction(2), help="step upper bound")
-    peterson.add_argument("--max-nodes", type=int, default=400_000)
-    _add_sim_arguments(peterson)
-    peterson.set_defaults(func=cmd_peterson)
-
     lint = sub.add_parser(
         "lint", help="static pre-flight diagnostics for a shipped system"
     )
@@ -1217,11 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="rate drift (scale) or offset jitter (shift)",
     )
     perturb.add_argument(
-        "--ceiling", type=_fraction, default=None, help="search cap on ε"
+        "--ceiling", type=_arg_type(catalog.exact), default=None, help="search cap on ε"
     )
     perturb.add_argument(
         "--resolution",
-        type=_fraction,
+        type=_arg_type(catalog.exact),
         default=Fraction(1, 64),
         help="bracket width at which the search stops",
     )

@@ -174,7 +174,7 @@ def zone_condition_check(
     return CheckOutcome(
         report.verdict.holds,
         nodes,
-        "zone verdict: {} (claimed {!r}, exact {!r})".format(
+        "zone verdict: {} (claimed {!r}, exact {})".format(
             report.verdict.value, claimed, report.exact
         ),
         exhausted_budget=report.exhausted_budget,
@@ -204,7 +204,7 @@ def absolute_bounds_check(
     return CheckOutcome(
         bounds.within(claimed),
         bounds.nodes,
-        "absolute bounds {!r} vs claimed {!r}".format(bounds, claimed),
+        "absolute bounds {} vs claimed {!r}".format(bounds, claimed),
         exhausted_budget=bounds.exhausted_budget,
     )
 

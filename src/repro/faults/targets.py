@@ -133,9 +133,12 @@ def _run_checks(
 ) -> CheckOutcome:
     """Fold labelled check thunks: first failure wins (labelled), steps
     accumulate, and an exhausted budget stops the fold early with the
-    partial result marked."""
+    partial result marked.  A pass keeps the labelled details of the
+    checks that passed, joined by ``"; "`` (the zone checks' exact
+    bounds among them)."""
     total = 0
     exhausted = False
+    passed = []
     for label, thunk in checks:
         if budget is not None and budget.exhausted:
             exhausted = True
@@ -152,8 +155,11 @@ def _run_checks(
                 failing_target_state=outcome.failing_target_state,
                 exhausted_budget=exhausted,
             )
-    detail = "budget exhausted after {} steps".format(total) if exhausted else ""
-    return CheckOutcome(True, total, detail, exhausted_budget=exhausted)
+        if outcome.detail:
+            passed.append("{}: {}".format(label, outcome.detail))
+    if exhausted:
+        passed.append("budget exhausted after {} steps".format(total))
+    return CheckOutcome(True, total, "; ".join(passed), exhausted_budget=exhausted)
 
 
 def _adversarial_runs(

@@ -371,9 +371,9 @@ def _relay_tree_bundle(parsed: GenName) -> Bundle:
         return results
 
     def bounds():
-        from repro.analyze.composition import DerivedBound, _chain_bounds, _fold
+        from repro.analyze.composition import DerivedBound, _fold, _line_bounds
 
-        results = _chain_bounds(parsed.name, tree.system())
+        results = _line_bounds(parsed.name, tree.system())
         results.append(
             DerivedBound(
                 system=parsed.name,
@@ -422,68 +422,37 @@ def _tree_battery(depth: int, fanout: int, direction, mode, seeds, steps, seed):
     event-condition query degenerates to a vacuous HOLDS), so the timed
     evidence rides on the *spine*: every root-leaf path is isomorphic
     to the same ``depth``-hop chain (the PROVED path-uniformity
-    obligation), whose hierarchy, slack refinement, and end-to-end zone
-    bound are all cheap.  The tree automaton itself is still exercised
-    exactly — untimed exploration by the check layer, and Lemma 2.1
-    acceptance of adversarially scheduled timed runs here."""
-    from repro.core.mappings import MappingChain
+    obligation), which runs the line battery
+    (:func:`repro.faults.targets._line_builder`).  The tree automaton
+    itself is still exercised exactly — untimed exploration by the
+    check layer, and Lemma 2.1 acceptance of adversarially scheduled
+    timed runs here."""
     from repro.core.projection import project
-    from repro.core.dummification import undum
     from repro.core.time_automaton import time_of_boundmap
-    from repro.faults.checks import (
-        lemma_2_1_check,
-        mapping_run_check,
-        slack_refinement_mapping,
-        zone_condition_check,
-    )
-    from repro.faults.perturb import Drift, perturb_boundmap, perturb_interval
-    from repro.faults.targets import _adversarial_runs, _run_checks
-    from repro.systems.extensions import EVENT
-    from repro.systems.extensions.chain import ChainSystem
+    from repro.faults.checks import lemma_2_1_check
+    from repro.faults.perturb import Drift, perturb_boundmap
+    from repro.faults.targets import _adversarial_runs, _line_builder, _run_checks
 
     nominal = _tree_timed(depth, fanout)
-    nominal_spine = _tree_spine(depth)
-    claimed = nominal_spine.requirement.interval
+    spine = _line_builder(
+        _tree_spine(depth), "tree spine", "Section 6", direction, mode, seeds, steps, seed
+    )
 
     def evaluate(eps, budget):
-        if eps == 0:
-            perturbed, spine = nominal, nominal_spine
-        else:
-            drift = Drift(eps, mode=mode, direction=direction)
-            perturbed = perturb_boundmap(nominal, drift)
-            stage = perturb_interval(_HOP, drift)
-            spine = ChainSystem([stage] * depth)
-        chain = MappingChain(
-            list(spine.hierarchy().mappings)
-            + [
-                slack_refinement_mapping(
-                    spine.requirements,
-                    nominal_spine.requirements,
-                    name="tree spine slack refinement",
-                )
-            ]
+        perturbed = (
+            nominal
+            if eps == 0
+            else perturb_boundmap(nominal, Drift(eps, mode=mode, direction=direction))
         )
-        tree_runs = _adversarial_runs(
+        runs = _adversarial_runs(
             time_of_boundmap(perturbed), budget, seeds, steps, base=seed
         )
-        spine_runs = _adversarial_runs(spine.algorithm, budget, seeds, steps, base=seed)
         checks = [
             (
                 "Lemma 2.1 vs nominal tree (A, b)",
-                lambda: lemma_2_1_check(
-                    nominal, [project(run) for run in tree_runs], budget
-                ),
+                lambda: lemma_2_1_check(nominal, [project(run) for run in runs], budget),
             ),
-            (
-                "spine hierarchy + slack refinement",
-                lambda: mapping_run_check(chain, spine_runs, budget),
-            ),
-            (
-                "zone spine end-to-end bound",
-                lambda: zone_condition_check(
-                    spine.timed, EVENT(0), EVENT(depth), claimed, budget=budget
-                ),
-            ),
+            ("root-leaf spine", lambda: spine(eps, budget)),
         ]
         return _run_checks(checks, budget)
 

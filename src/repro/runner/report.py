@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.report import Table
+from repro.table import Table
 
 __all__ = [
     "FAILURE_CLASSES",

@@ -1,5 +1,7 @@
 """Simulation substrate: strategies and the discrete-event scheduler
-that generate executions of ``time(A, U)`` automata."""
+that generate executions of ``time(A, U)`` automata, plus what reads
+their runs: :mod:`repro.sim.bounds` measures timing bounds over
+behaviors and :mod:`repro.sim.timeline` renders a run as an event log."""
 
 from repro.sim.scheduler import Simulator, simulate
 from repro.sim.strategies import (

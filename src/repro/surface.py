@@ -252,9 +252,15 @@ def _rm() -> Bundle:
     return rm
 
 
-def _line(name: str, system, label: str, section: str, lemma: str, bounds, **fields) -> Bundle:
+def _line(name: str, system, label: str, section: str, lemma: str, **fields) -> Bundle:
     """A relay or a chain: its hierarchy as the mappings ``label[level]``,
-    linted with its dummified automaton, stressed by the line battery."""
+    linted with its dummified automaton, its bounds the partial sums of
+    its stages, stressed by the line battery."""
+
+    def bounds():
+        from repro.analyze.composition import _line_bounds
+
+        return _line_bounds(name, system)
 
     def perturb(*battery):
         from repro.faults.targets import _line_builder
@@ -285,14 +291,8 @@ def _relay(name: str, n: int, **fields) -> Bundle:
     from repro.systems import RelayParams, RelaySystem
 
     system = RelaySystem(RelayParams(n=n, d1=Fraction(1), d2=Fraction(2)))
-
-    def bounds():
-        from repro.analyze.composition import _relay_bounds
-
-        return _relay_bounds(name, system)
-
     lemma = "Lemma 6.1 (at most one flag is up)"
-    return _line(name, system, "relay", "Section 6", lemma, bounds, horizon=Fraction(n + 2), **fields)
+    return _line(name, system, "relay", "Section 6", lemma, horizon=Fraction(n + 2), **fields)
 
 
 def _chain() -> Bundle:
@@ -300,19 +300,12 @@ def _chain() -> Bundle:
     from repro.timed.interval import Interval
 
     system = ChainSystem([Interval(1, 2), Interval(2, 3)])
-
-    def bounds():
-        from repro.analyze.composition import _chain_bounds
-
-        return _chain_bounds("chain", system)
-
     return _line(
         "chain",
         system,
         "chain",
         "Section 8",
         CHAIN_LEMMA,
-        bounds,
         horizon=Fraction(6),
         # Sequential stages meet at their boundary (stage k's latest
         # completion equals stage k+1's earliest): not a race, the

@@ -77,14 +77,20 @@ class SeparationBounds:
             and not self.hi_strict
         )
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """The bounds as an interval, ``(`` or ``)`` at an end that is
+        only approached: ``[6, 10]``."""
         from repro.timed.interval import _render
 
-        lo_bracket = "(" if self.lo_strict else "["
-        hi_bracket = ")" if self.hi_strict else "]"
-        return "SeparationBounds{}{}, {}{}".format(
-            lo_bracket, _render(self.lo), _render(self.hi), hi_bracket
+        return "{}{}, {}{}".format(
+            "(" if self.lo_strict else "[",
+            _render(self.lo),
+            _render(self.hi),
+            ")" if self.hi_strict else "]",
         )
+
+    def __repr__(self) -> str:
+        return "SeparationBounds" + str(self)
 
 
 def event_separation_bounds(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.bounds import (
+from repro.sim.bounds import (
     BoundsAccumulator,
     first_occurrence,
     gaps,

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from repro.analysis.report import Table, format_value
+from repro.table import Table, format_value
 
 
 class TestFormatValue:

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.analysis.timeline import render_predictions, render_timeline, timeline_lines
+from repro.sim.timeline import render_predictions, render_timeline, timeline_lines
 from repro.core.projection import project
 from repro.core.time_automaton import time_of_boundmap
 from repro.sim.scheduler import Simulator

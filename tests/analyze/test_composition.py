@@ -28,10 +28,20 @@ class TestDerivedBounds:
     def test_relay_hierarchy_levels(self):
         bounds = {b.label: b for b in derived_bounds("relay")}
         assert bounds["end-to-end"].derived == Interval(3, 6)
-        # B_k hierarchy: U[k, n] carries (n - k) hops of [1, 2].
-        assert bounds["U[0,3]"].derived == Interval(3, 6)
+        # B_k hierarchy: U[k, n] carries (n - k) hops of [1, 2];
+        # U[0,n] is the end-to-end row.
+        assert sorted(bounds) == ["U[1,3]", "U[2,3]", "end-to-end"]
         assert bounds["U[1,3]"].derived == Interval(2, 4)
         assert bounds["U[2,3]"].derived == Interval(1, 2)
+
+    def test_relay_and_equal_stage_chain_report_the_same_rows(self):
+        from repro.analyze.composition import _line_bounds
+        from repro.surface import bundle
+        from repro.systems.extensions import ChainSystem
+
+        chain = ChainSystem([Interval(1, 2)] * 3)
+        assert _line_bounds("relay", chain) == derived_bounds("relay")
+        assert bundle("relay").system().stages == chain.stages
 
     def test_chain_partial_sums(self):
         bounds = {b.label: b for b in derived_bounds("chain")}

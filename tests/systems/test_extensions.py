@@ -28,7 +28,7 @@ from repro.systems.extensions.request_grant import (
     response_condition,
 )
 from repro.systems.resource_manager import GRANT, ResourceManagerParams
-from repro.analysis.bounds import separations_after
+from repro.sim.bounds import separations_after
 from repro.timed.interval import Interval
 from repro.timed.satisfaction import find_condition_violation
 from repro.zones.analysis import absolute_event_bounds, event_separation_bounds

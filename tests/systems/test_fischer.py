@@ -152,7 +152,7 @@ class TestContentionBound:
         assert not bounds.lo_strict and not bounds.hi_strict
 
     def test_matches_recurrence_baseline(self):
-        from repro.analysis.recurrence import fischer_first_entry_chain
+        from repro.analyze.recurrence import fischer_first_entry_chain
         from repro.zones.analysis import event_separation_bounds
 
         a, b = F(1), F(2)

@@ -28,7 +28,7 @@ from repro.systems.extensions.peterson import (
     peterson_system,
     someone_critical,
 )
-from repro.analysis.recurrence import peterson_first_entry_chain
+from repro.analyze.recurrence import peterson_first_entry_chain
 from repro.timed.satisfaction import find_boundmap_violation
 from repro.zones.analysis import event_separation_bounds, find_reachable_state
 

@@ -23,7 +23,7 @@ from repro.systems.resource_manager import (
     resource_manager,
     timer_of,
 )
-from repro.analysis.bounds import gaps, occurrence_times
+from repro.sim.bounds import gaps, occurrence_times
 from repro.timed.satisfaction import find_boundmap_violation
 
 

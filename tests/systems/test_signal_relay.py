@@ -23,7 +23,7 @@ from repro.systems.signal_relay import (
     sender_automaton,
     signal_relay,
 )
-from repro.analysis.bounds import separations_after
+from repro.sim.bounds import separations_after
 from repro.timed.interval import Interval
 from repro.timed.satisfaction import find_condition_violation
 
@@ -157,8 +157,11 @@ class TestTheorem64Measurements:
         )
         seq = undum(project(run))
         n = relay_system.params.n
-        count = sum(1 for ev in seq.events if ev.action == SIGNAL(n))
-        assert count == 1
+        actions = [ev.action for ev in seq.events]
+        assert actions.count(SIGNAL(n)) == 1
+        # Q's order: one SIGNAL_0, and SIGNAL_n only after it.
+        assert actions.count(SIGNAL(0)) == 1
+        assert actions.index(SIGNAL(0)) < actions.index(SIGNAL(n))
 
 
 class TestRelaySystemBundle:

@@ -109,6 +109,49 @@ class TestCheckCommand:
         # Its battery is a bounded sweep, so the verdict is never settled.
         assert entry["conclusive"] is False
 
+    @pytest.mark.parametrize(
+        "system, exact",
+        [
+            (
+                "rm",
+                [
+                    "zone first-GRANT bound: absolute bounds [6, 10] vs claimed [6, 10]",
+                    "zone GRANT-gap bound: zone verdict: verified (tight) "
+                    "(claimed [5, 10], exact [5, 10])",
+                ],
+            ),
+            (
+                "relay",
+                [
+                    "zone end-to-end bound: zone verdict: verified (tight) "
+                    "(claimed [3, 6], exact [3, 6])",
+                ],
+            ),
+        ],
+        ids=["rm", "relay"],
+    )
+    def test_battery_states_exact_zone_bounds(self, system, exact, capsys):
+        # Theorems 4.4 and 6.4: the battery's zone checks measure each
+        # declared interval exactly, and a pass keeps what they found.
+        code, out, _ = _check([system, "--json", "--no-cache"], capsys)
+        assert code == 0
+        assert json.loads(out)["battery"]["detail"].split("; ") == exact
+        code, out, _ = _check([system, "--no-cache"], capsys)
+        assert code == 0
+        assert "{} battery:\n".format(system) + "".join(
+            "  {}\n".format(line) for line in exact
+        ) in out
+
+    def test_seeded_battery_is_reproducible(self, capsys):
+        runs = []
+        for _ in range(2):
+            code, out, _ = _check(["rm", "--json", "--no-cache", "--seed", "17"], capsys)
+            assert code == 0
+            entry = json.loads(out)
+            entry.pop("wall")
+            runs.append(entry)
+        assert runs[0] == runs[1]
+
     def test_every_shipped_check_passes(self, capsys):
         code, out, _ = _check(["all", "--json", "--no-cache"], capsys)
         assert code == 0

@@ -21,7 +21,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: ``repro`` subpackages a help or cache-hit process must not import.
 ENGINE_PACKAGES = (
-    "analysis", "analyze", "core", "faults", "gen", "ioa", "lint", "sim",
+    "analyze", "core", "faults", "gen", "ioa", "lint", "sim",
     "systems", "timed", "zones", "runner", "serve", "dist",
 )
 
@@ -96,6 +96,17 @@ def test_warm_hit_loads_no_engine(warm_cache, argv):
     code, out, modules = _run(list(argv) + ["--json"], warm_cache)
     assert code == 0
     assert json.loads(out)["cached"] is True
+    assert "repro.cache.store" in modules
+    assert _engine_modules(modules) == []
+
+
+@pytest.mark.parametrize("argv", WARM_COMMANDS, ids="-".join)
+def test_warm_text_hit_loads_no_engine(warm_cache, argv):
+    # The text renderers answer a hit with what the JSON does: the
+    # cache entry plus stdlib formatting (``repro.table``).
+    code, out, modules = _run(argv, warm_cache)
+    assert code == 0
+    assert "verdict: ok" in out
     assert "repro.cache.store" in modules
     assert _engine_modules(modules) == []
 

@@ -63,6 +63,15 @@ from repro.cli import main
         ["run", "rm", "--epsilon", "-1"],
         ["run", "rm", "--fuzz-count", "0"],
         ["lint", "rm", "--max-states", "-1"],
+        # the retired seed-era per-system commands are no commands at all
+        ["rm"],
+        ["relay"],
+        ["zones", "rm"],
+        ["zones", "relay", "--n", "0"],
+        ["verify", "rm", "5", "3"],
+        ["timeline", "rm"],
+        ["fischer", "--n", "0"],
+        ["peterson"],
     ],
 )
 def test_nonsense_numerics_exit_2(capsys, argv):
