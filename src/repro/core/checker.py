@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import MappingCheckError, TimingViolationError
 from repro.obs import instrument as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults uses core)
     from repro.faults.budget import Budget
+from repro.timed.interval import render_time
 from repro.timed.timed_sequence import TimedSequence
 from repro.core.discretize import discrete_options
 from repro.core.mappings import MappingChain, StrongPossibilitiesMapping
@@ -81,22 +82,69 @@ class CheckOutcome:
         return self
 
 
+class _Failure(NamedTuple):
+    """Where a witness construction broke, before it is explained: the
+    states are those of the automata searched, so a scaled search can
+    hand back their rational counterparts for :func:`_explain`."""
+
+    kind: str  # "initial", "enabledness" or "containment"
+    steps: int
+    source: TimeState  # the source start or post-state
+    target: TimeState  # the witness that failed, or the pre-witness of a disabled step
+    action: Hashable = None
+    time: object = None
+
+    def rational(self, scale) -> "_Failure":
+        return self._replace(
+            source=scale.state_down(self.source),
+            target=scale.state_down(self.target),
+            time=None if self.time is None else scale.down(self.time),
+        )
+
+
+def _explain(mapping: StrongPossibilitiesMapping, failure: _Failure) -> CheckOutcome:
+    """The failed outcome, with the obligation that broke spelled out."""
+    source, target = failure.source, failure.target
+    if failure.kind == "initial":
+        detail = "initial condition fails for {}: {}".format(
+            mapping.name, mapping.describe_failure(target, source)
+        )
+    elif failure.kind == "enabledness":
+        try:
+            mapping.target.successor_matching(
+                target, failure.action, failure.time, source.astate
+            )
+        except TimingViolationError as exc:
+            reason = exc
+        else:
+            raise AssertionError("a step reported disabled is enabled")
+        detail = "target step not enabled for {} on ({!r}, {}): {}".format(
+            mapping.name, failure.action, render_time(failure.time), reason
+        )
+    else:
+        detail = "containment fails for {} after ({!r}, {}): {}".format(
+            mapping.name,
+            failure.action,
+            render_time(failure.time),
+            mapping.describe_failure(target, source),
+        )
+    return CheckOutcome(
+        False,
+        failure.steps,
+        detail,
+        failing_source_state=source,
+        failing_target_state=target,
+    )
+
+
 def _initial_witness(
     mapping: StrongPossibilitiesMapping, source_start: TimeState
-) -> Tuple[Optional[TimeState], Optional[CheckOutcome]]:
+) -> Tuple[Optional[TimeState], Optional[_Failure]]:
     """Definition 3.2 condition 1 for the unique start state over the
     same ``A``-state."""
     witness = mapping.target.initial(source_start.astate)
     if not mapping.contains(witness, source_start):
-        return None, CheckOutcome(
-            False,
-            0,
-            "initial condition fails for {}: {}".format(
-                mapping.name, mapping.describe_failure(witness, source_start)
-            ),
-            failing_source_state=source_start,
-            failing_target_state=witness,
-        )
+        return None, _Failure("initial", 0, source_start, witness)
     return witness, None
 
 
@@ -107,7 +155,7 @@ def _witness_step(
     time,
     source_post: TimeState,
     steps_done: int,
-) -> Tuple[Optional[TimeState], Optional[CheckOutcome]]:
+) -> Tuple[Optional[TimeState], Optional[_Failure]]:
     """One simulation step: construct the target step and check both
     proof obligations."""
     _telemetry.incr("check.steps")
@@ -115,26 +163,11 @@ def _witness_step(
         next_witness = mapping.target.successor_matching(
             witness, action, time, source_post.astate
         )
-    except TimingViolationError as exc:
-        return None, CheckOutcome(
-            False,
-            steps_done,
-            "target step not enabled for {} on ({!r}, {!r}): {}".format(
-                mapping.name, action, time, exc
-            ),
-            failing_source_state=source_post,
-            failing_target_state=witness,
-        )
+    except TimingViolationError:
+        return None, _Failure("enabledness", steps_done, source_post, witness, action, time)
     if not mapping.contains(next_witness, source_post):
-        return None, CheckOutcome(
-            False,
-            steps_done,
-            "containment fails for {} after ({!r}, {!r}): {}".format(
-                mapping.name, action, time,
-                mapping.describe_failure(next_witness, source_post),
-            ),
-            failing_source_state=source_post,
-            failing_target_state=next_witness,
+        return None, _Failure(
+            "containment", steps_done, source_post, next_witness, action, time
         )
     return next_witness, None
 
@@ -181,7 +214,7 @@ def check_mapping_on_run(
     """
     witness, failure = _initial_witness(mapping, run.first_state)
     if failure is not None:
-        return _emit_outcome("mapping_on_run", failure)
+        return _emit_outcome("mapping_on_run", _explain(mapping, failure))
     steps = 0
     for _pre, event, post in run.triples():
         if budget is not None and not budget.charge_step():
@@ -190,7 +223,7 @@ def check_mapping_on_run(
             mapping, witness, event.action, event.time, post, steps
         )
         if failure is not None:
-            return _emit_outcome("mapping_on_run", failure)
+            return _emit_outcome("mapping_on_run", _explain(mapping, failure))
         steps += 1
     return _emit_outcome("mapping_on_run", CheckOutcome(True, steps))
 
@@ -208,7 +241,7 @@ def check_chain_on_run(
     for mapping in chain:
         witness, failure = _initial_witness(mapping, previous)
         if failure is not None:
-            return _emit_outcome("chain_on_run", failure)
+            return _emit_outcome("chain_on_run", _explain(mapping, failure))
         witnesses.append(witness)
         previous = witness
     steps = 0
@@ -221,7 +254,7 @@ def check_chain_on_run(
                 mapping, witnesses[level], event.action, event.time, previous, steps
             )
             if failure is not None:
-                return _emit_outcome("chain_on_run", failure)
+                return _emit_outcome("chain_on_run", _explain(mapping, failure))
             witnesses[level] = witness
             previous = witness
         steps += 1
@@ -242,18 +275,74 @@ def check_mapping_exhaustive(
     Explores the product of source states and deterministic witnesses
     breadth-first.  Exhaustive for the grid semantics; raises the same
     two obligations as :func:`check_mapping_on_run` at every step.
+
+    The search runs in integer time (:mod:`repro.core.time_scale`): on
+    copies of the automata and the mapping scaled by the lcm ``D`` of
+    the denominators of every bound, constant, the grid and the
+    horizon.  A failure is explained on the original mapping, from the
+    rational states the scaled ones stand for.
     """
+    from repro.core.time_scale import TimeScale
+
+    scale = TimeScale.for_mapping(mapping, grid, horizon)
+    if scale is None:
+        return _reference_mapping_exhaustive(mapping, grid, horizon, max_pairs, budget)
+    found = _search_pairs(
+        scale.mapping(mapping), scale.up(grid), scale.up(horizon), max_pairs, budget
+    )
+    if isinstance(found, _Failure):
+        found = found.rational(scale)
+    return _conclude(mapping, grid, horizon, found)
+
+
+def _reference_mapping_exhaustive(
+    mapping: StrongPossibilitiesMapping,
+    grid,
+    horizon,
+    max_pairs: int = 200_000,
+    budget: Optional["Budget"] = None,
+) -> CheckOutcome:
+    """The same search in the mapping's own rational time: the oracle
+    the integer search is held to."""
+    found = _search_pairs(mapping, grid, horizon, max_pairs, budget)
+    return _conclude(mapping, grid, horizon, found)
+
+
+def _conclude(mapping, grid, horizon, found) -> CheckOutcome:
+    if isinstance(found, _Failure):
+        found = _explain(mapping, found)
+    elif isinstance(found, int):
+        found = CheckOutcome(
+            True,
+            found,
+            "exhaustive over grid={} horizon={}".format(
+                render_time(grid), render_time(horizon)
+            ),
+        )
+    return _emit_outcome("mapping_exhaustive", found)
+
+
+def _search_pairs(
+    mapping: StrongPossibilitiesMapping,
+    grid,
+    horizon,
+    max_pairs: int,
+    budget: Optional["Budget"],
+) -> Union[CheckOutcome, _Failure, int]:
+    """The breadth-first search of :func:`check_mapping_exhaustive`:
+    a :class:`_Failure`, the outcome of a cut search, or the step
+    count of a complete one."""
     rec = _telemetry._ACTIVE
     seen = set()
     frontier: deque = deque()
     for source_start in mapping.source.start_states():
         witness, failure = _initial_witness(mapping, source_start)
         if failure is not None:
-            return _emit_outcome("mapping_exhaustive", failure)
+            return failure
         pair = (source_start, witness)
         if pair not in seen:
             if budget is not None and not budget.charge_state():
-                return _emit_outcome("mapping_exhaustive", _budget_cut(0))
+                return _budget_cut(0)
             seen.add(pair)
             frontier.append(pair)
     steps = 0
@@ -262,12 +351,12 @@ def check_mapping_exhaustive(
         for action, time in discrete_options(mapping.source, source_state, grid, horizon):
             for source_post in mapping.source.successors(source_state, action, time):
                 if budget is not None and not budget.charge_step():
-                    return _emit_outcome("mapping_exhaustive", _budget_cut(steps))
+                    return _budget_cut(steps)
                 next_witness, failure = _witness_step(
                     mapping, witness, action, time, source_post, steps
                 )
                 if failure is not None:
-                    return _emit_outcome("mapping_exhaustive", failure)
+                    return failure
                 steps += 1
                 pair = (source_post, next_witness)
                 if pair in seen:
@@ -275,21 +364,11 @@ def check_mapping_exhaustive(
                         rec.incr("check.cache_hits")
                     continue
                 if len(seen) >= max_pairs:
-                    return _emit_outcome(
-                        "mapping_exhaustive",
-                        CheckOutcome(
-                            True,
-                            steps,
-                            "truncated at {} state pairs".format(max_pairs),
-                        ),
+                    return CheckOutcome(
+                        True, steps, "truncated at {} state pairs".format(max_pairs)
                     )
                 if budget is not None and not budget.charge_state():
-                    return _emit_outcome("mapping_exhaustive", _budget_cut(steps))
+                    return _budget_cut(steps)
                 seen.add(pair)
                 frontier.append(pair)
-    return _emit_outcome(
-        "mapping_exhaustive",
-        CheckOutcome(
-            True, steps, "exhaustive over grid={!r} horizon={!r}".format(grid, horizon)
-        ),
-    )
+    return steps

@@ -32,6 +32,7 @@ from repro.core.discretize import discrete_options
 from repro.core.mappings import StrongPossibilitiesMapping
 from repro.core.time_automaton import PredictiveTimeAutomaton
 from repro.core.time_state import TimeState
+from repro.timed.interval import render_time
 
 __all__ = [
     "ExhaustiveFirstEstimator",
@@ -263,12 +264,14 @@ class CanonicalMapping(StrongPossibilitiesMapping):
                 math.isinf(sup_first) and not math.isinf(lt)
             ):
                 problems.append(
-                    "{}: Lt = {!r} < sup first = {!r}".format(cond.name, lt, sup_first)
+                    "{}: Lt = {} < sup first = {}".format(
+                        cond.name, render_time(lt), render_time(sup_first)
+                    )
                 )
             if ft > inf_first_pi + self.lower_slack:
                 problems.append(
-                    "{}: Ft = {!r} > inf first_Π = {!r}".format(
-                        cond.name, ft, inf_first_pi
+                    "{}: Ft = {} > inf first_Π = {}".format(
+                        cond.name, render_time(ft), render_time(inf_first_pi)
                     )
                 )
         return "; ".join(problems) or "no violated inequality (?)"

@@ -28,19 +28,26 @@ def grid_aligned(value, grid) -> bool:
     return Fraction(value) % Fraction(grid) == 0
 
 
-def grid_times(lo, hi, grid) -> List[Fraction]:
-    """All multiples of ``grid`` in ``[lo, hi]`` (empty when ``lo > hi``)."""
-    grid = Fraction(grid)
+def _exact(value):
+    """Ints and fractions as they are; anything else as a fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
+def grid_times(lo, hi, grid) -> List:
+    """All multiples of ``grid`` in ``[lo, hi]`` (empty when ``lo > hi``).
+
+    Int inputs give ints; otherwise the times are fractions."""
+    grid = _exact(grid)
     if grid <= 0:
         raise TimingConditionError("grid must be positive")
     if isinstance(hi, float) and math.isinf(hi):
         raise TimingConditionError("grid_times needs a finite upper end; cap hi first")
-    lo_f = Fraction(lo)
-    hi_f = Fraction(hi)
-    if lo_f > hi_f:
+    lo = _exact(lo)
+    hi = _exact(hi)
+    if lo > hi:
         return []
-    first_index = -((-lo_f) // grid)  # ceil(lo / grid)
-    last_index = hi_f // grid  # floor(hi / grid)
+    first_index = -((-lo) // grid)  # ceil(lo / grid)
+    last_index = hi // grid  # floor(hi / grid)
     return [grid * i for i in range(int(first_index), int(last_index) + 1)]
 
 
@@ -49,7 +56,7 @@ def discrete_options(
     state: TimeState,
     grid,
     horizon,
-) -> Iterator[Tuple[Hashable, Fraction]]:
+) -> Iterator[Tuple[Hashable, object]]:
     """All grid-time steps available from ``state``: pairs ``(π, t)``
     with ``t`` a multiple of ``grid``, inside the action's time window,
     and at most ``horizon``.
@@ -58,11 +65,11 @@ def discrete_options(
     horizon large enough that every obligation of interest resolves
     earlier.
     """
-    horizon_f = Fraction(horizon)
+    horizon = _exact(horizon)
     for action, lo, hi in automaton.schedulable_actions(state):
         if isinstance(hi, float) and math.isinf(hi):
-            capped_hi = horizon_f
+            capped_hi = horizon
         else:
-            capped_hi = min(Fraction(hi), horizon_f)
+            capped_hi = min(hi, horizon)
         for t in grid_times(lo, capped_hi, grid):
             yield (action, t)

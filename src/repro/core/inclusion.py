@@ -74,8 +74,69 @@ def check_semantic_inclusion(
     checked once, including the extensions then skipped as already
     enqueued.  ``max_executions`` caps it.  Violations come back with
     the offending projected sequence, rebuilt from parent pointers.
+
+    The search runs in integer time (:mod:`repro.core.time_scale`), on
+    copies of ``source`` and ``conditions`` scaled by the lcm ``D`` of
+    the denominators of every bound, the grid and the horizon.  The
+    counterexample is divided back by ``D``, and its violation found
+    again by replaying it over ``conditions``.
     """
+    from repro.core.time_scale import TimeScale
+
     conditions = tuple(conditions)
+    scale = TimeScale.for_inclusion(source, conditions, grid, horizon)
+    if scale is None:
+        return _reference_inclusion(source, conditions, grid, horizon, max_executions)
+    outcome = _search_product(
+        scale.automaton(source),
+        tuple(scale.condition(c) for c in conditions),
+        scale.up(grid),
+        scale.up(horizon),
+        max_executions,
+    )
+    if outcome.ok:
+        return outcome
+    counterexample = scale.sequence_down(outcome.counterexample)
+    return InclusionOutcome(
+        False,
+        outcome.executions_checked,
+        False,
+        _replay(conditions, counterexample),
+        counterexample,
+    )
+
+
+def _reference_inclusion(
+    source: PredictiveTimeAutomaton,
+    conditions: Sequence[TimingCondition],
+    grid,
+    horizon,
+    max_executions: int = 200_000,
+) -> InclusionOutcome:
+    """The same search in the source's own rational time: the oracle
+    the integer search is held to."""
+    return _search_product(source, tuple(conditions), grid, horizon, max_executions)
+
+
+def _replay(conditions: Tuple[TimingCondition, ...], seq: TimedSequence) -> Violation:
+    """The violation that ends ``seq``, found again by the monitor over
+    ``conditions`` (a counterexample violates at its last event only)."""
+    monitor = SemiSatisfactionMonitor.start(conditions, seq.first_state)
+    for pre, event, post in seq.triples():
+        monitor, violation = monitor.advance(pre, event.action, event.time, post)
+        if violation is not None:
+            return violation
+    raise AssertionError("counterexample {!r} violates nothing".format(seq))
+
+
+def _search_product(
+    source: PredictiveTimeAutomaton,
+    conditions: Tuple[TimingCondition, ...],
+    grid,
+    horizon,
+    max_executions: int,
+) -> InclusionOutcome:
+    """The breadth-first search of :func:`check_semantic_inclusion`."""
     checked = 0
     seen = set()
     frontier: deque = deque()

@@ -29,6 +29,7 @@ from repro.errors import MappingError
 from repro.obs import instrument as _telemetry
 from repro.core.time_automaton import PredictiveTimeAutomaton
 from repro.core.time_state import TimeState
+from repro.timed.interval import render_time
 
 __all__ = [
     "StrongPossibilitiesMapping",
@@ -236,15 +237,18 @@ class InequalityMapping(StrongPossibilitiesMapping):
         super().__init__(source, target, name=name)
         self.case_of = case_of
         table = cases if case_of is not None else {None: cases}
-        self.cases: Dict[Hashable, Tuple[Ineq, ...]] = {
-            key: tuple(conjunction) for key, conjunction in table.items()
-        }
+        self._declare({key: tuple(conjunction) for key, conjunction in table.items()})
+
+    def _declare(self, cases: Dict[Hashable, Tuple[Ineq, ...]]) -> None:
+        """Set the case table and compile each side against the current
+        source and target (also how a scaled copy is recompiled)."""
+        self.cases: Dict[Hashable, Tuple[Ineq, ...]] = cases
         self._compiled = {
             key: tuple(
                 (_reader(self, ineq.lhs), _RELATIONS[ineq.rel], _reader(self, ineq.rhs), ineq)
                 for ineq in conjunction
             )
-            for key, conjunction in self.cases.items()
+            for key, conjunction in cases.items()
         }
         self._by_astate: Dict[Hashable, Tuple] = {}
 
@@ -279,7 +283,9 @@ class InequalityMapping(StrongPossibilitiesMapping):
             for left, compare, right, ineq in self._atoms(source_state.astate)
         ]
         return "; ".join(
-            "{!r} = {!r} violates {} {!r} = {!r}".format(ineq.lhs, lhs, ineq.rel, ineq.rhs, rhs)
+            "{!r} = {} violates {} {!r} = {}".format(
+                ineq.lhs, render_time(lhs), ineq.rel, ineq.rhs, render_time(rhs)
+            )
             for ineq, lhs, compare, rhs in values
             if not compare(lhs, rhs)
         ) or "inequalities hold (?)"

@@ -28,6 +28,7 @@ from repro.errors import TimingConditionError, TimingViolationError
 from repro.ioa.automaton import IOAutomaton
 from repro.timed.boundmap import TimedAutomaton
 from repro.timed.conditions import TimingCondition, boundmap_conditions
+from repro.timed.interval import render_time
 from repro.timed.timed_sequence import TimedSequence
 from repro.core.time_state import DEFAULT_PREDICTION, Prediction, TimeState
 
@@ -121,19 +122,17 @@ class PredictiveTimeAutomaton:
         """The reason ``(action, t)`` is time-forbidden in ``state``, or
         None when conditions 2, 3(a) and 4(a) all hold."""
         if t < state.now:
-            return "time {!r} precedes Ct = {!r}".format(t, state.now)
+            return "time {} precedes Ct = {}".format(render_time(t), render_time(state.now))
         for cond, pred, in_pi in zip(self.conditions, state.preds, self._in_pi(action)):
             if in_pi:
                 if not (pred.ft <= t <= pred.lt):
-                    return (
-                        "condition {!r} requires t in [{!r}, {!r}], got {!r}".format(
-                            cond.name, pred.ft, pred.lt, t
-                        )
+                    return "condition {!r} requires t in [{}, {}], got {}".format(
+                        cond.name, render_time(pred.ft), render_time(pred.lt), render_time(t)
                     )
             elif t > pred.lt:
                 return (
-                    "condition {!r} requires an earlier Π event by Lt = {!r}, "
-                    "but t = {!r}".format(cond.name, pred.lt, t)
+                    "condition {!r} requires an earlier Π event by Lt = {}, "
+                    "but t = {}".format(cond.name, render_time(pred.lt), render_time(t))
                 )
         return None
 
@@ -193,8 +192,8 @@ class PredictiveTimeAutomaton:
         reason = self.time_violation(state, action, t)
         if reason is not None:
             raise TimingViolationError(
-                "{}: ({!r}, {!r}) not enabled in {!r}: {}".format(
-                    self.name, action, t, state, reason
+                "{}: ({!r}, {}) not enabled in {!r}: {}".format(
+                    self.name, action, render_time(t), state, reason
                 )
             )
         posts = self._posts(state, action, t)
@@ -222,10 +221,10 @@ class PredictiveTimeAutomaton:
                 return post
         reason = self.time_violation(state, action, t)
         raise TimingViolationError(
-            "{}: no step ({!r}, {!r}) from {!r} reaching A-state {!r}{}".format(
+            "{}: no step ({!r}, {}) from {!r} reaching A-state {!r}{}".format(
                 self.name,
                 action,
-                t,
+                render_time(t),
                 state,
                 post_astate,
                 "" if reason is None else " ({})".format(reason),

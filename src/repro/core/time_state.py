@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Tuple
 
+from repro.timed.interval import render_time
+
 __all__ = ["Prediction", "TimeState", "DEFAULT_PREDICTION"]
 
 
@@ -29,8 +31,7 @@ class Prediction:
         return self.ft == 0 and math.isinf(self.lt)
 
     def __repr__(self) -> str:
-        lt = "inf" if (isinstance(self.lt, float) and math.isinf(self.lt)) else repr(self.lt)
-        return "(Ft={!r}, Lt={})".format(self.ft, lt)
+        return "(Ft={}, Lt={})".format(render_time(self.ft), render_time(self.lt))
 
 
 #: The inactive prediction used when a condition imposes nothing.
@@ -60,6 +61,6 @@ class TimeState:
         return TimeState(astate, self.now, self.preds)
 
     def __repr__(self) -> str:
-        return "TimeState(As={!r}, Ct={!r}, preds={})".format(
-            self.astate, self.now, list(self.preds)
+        return "TimeState(As={!r}, Ct={}, preds={})".format(
+            self.astate, render_time(self.now), list(self.preds)
         )

@@ -7,7 +7,7 @@ and 3.1.
 
 from repro.timed.boundmap import Boundmap, TimedAutomaton
 from repro.timed.conditions import TimingCondition, boundmap_conditions, cond_of_class
-from repro.timed.interval import INFINITY, Interval, as_exact
+from repro.timed.interval import INFINITY, Interval, as_exact, render_time
 from repro.timed.satisfaction import (
     SemiSatisfactionMonitor,
     Violation,
@@ -31,6 +31,7 @@ __all__ = [
     "Interval",
     "INFINITY",
     "as_exact",
+    "render_time",
     "Boundmap",
     "TimedAutomaton",
     "TimedEvent",

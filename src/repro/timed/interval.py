@@ -17,7 +17,7 @@ from typing import Union
 
 from repro.errors import TimingConditionError
 
-__all__ = ["Interval", "INFINITY", "as_exact"]
+__all__ = ["Interval", "INFINITY", "as_exact", "render_time"]
 
 #: Alias so callers need not import :mod:`math` for unbounded intervals.
 INFINITY = math.inf
@@ -54,13 +54,13 @@ class Interval:
             raise TimingConditionError("interval lower bound must not be infinite")
         if self.lo < 0:
             raise TimingConditionError(
-                "interval lower bound must be nonnegative, got {!r}".format(self.lo)
+                "interval lower bound must be nonnegative, got {}".format(render_time(self.lo))
             )
         if self.hi == 0:
             raise TimingConditionError("interval upper bound must be nonzero")
         if self.hi < self.lo:
             raise TimingConditionError(
-                "empty interval [{!r}, {!r}]".format(self.lo, self.hi)
+                "empty interval [{}, {}]".format(render_time(self.lo), render_time(self.hi))
             )
 
     # ------------------------------------------------------------------
@@ -156,12 +156,15 @@ class Interval:
         return Interval(lo, hi)
 
     def __repr__(self) -> str:
-        return "[{}, {}]".format(_render(self.lo), _render(self.hi))
+        return "[{}, {}]".format(render_time(self.lo), render_time(self.hi))
 
 
-def _render(value: Number) -> str:
+def render_time(value: Number) -> str:
+    """A time or bound as counterexample text spells it: ``3/2``, ``2``
+    (an int and an integral fraction alike), ``inf``; other values by
+    ``repr``."""
     if isinstance(value, float) and math.isinf(value):
-        return "inf"
+        return "inf" if value > 0 else "-inf"
     if isinstance(value, Fraction) and value.denominator == 1:
         return str(value.numerator)
     if isinstance(value, Fraction):

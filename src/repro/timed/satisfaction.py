@@ -24,6 +24,7 @@ from repro.ioa.execution import validate_execution
 from repro.ioa.partition import PartitionClass
 from repro.timed.boundmap import TimedAutomaton
 from repro.timed.conditions import TimingCondition, boundmap_conditions
+from repro.timed.interval import render_time
 from repro.timed.timed_sequence import TimedSequence
 
 __all__ = [
@@ -78,8 +79,8 @@ def _check_upper_from(
                 condition.name,
                 "upper",
                 origin_index,
-                "first Π/S occurrence at index {} has time {!r} > deadline "
-                "{!r}".format(j, seq.time(j), deadline),
+                "first Π/S occurrence at index {} has time {} > deadline "
+                "{}".format(j, render_time(seq.time(j)), render_time(deadline)),
             )
     if semi and seq.t_end <= deadline:
         return None
@@ -87,8 +88,8 @@ def _check_upper_from(
         condition.name,
         "upper",
         origin_index,
-        "no Π action or S state by the deadline {!r} (t_end = {!r})".format(
-            deadline, seq.t_end
+        "no Π action or S state by the deadline {} (t_end = {})".format(
+            render_time(deadline), render_time(seq.t_end)
         ),
     )
 
@@ -116,8 +117,10 @@ def _check_lower_from(
                 condition.name,
                 "lower",
                 origin_index,
-                "Π action {!r} at index {} occurs at time {!r} < {!r} with no "
-                "intervening disabling state".format(seq.action(j), j, t_j, threshold),
+                "Π action {!r} at index {} occurs at time {} < {} with no "
+                "intervening disabling state".format(
+                    seq.action(j), j, render_time(t_j), render_time(threshold)
+                ),
             )
         if condition.disables(seq.state(j)):
             disabling_seen = True
@@ -242,13 +245,13 @@ class SemiSatisfactionMonitor:
                 origin, deadline = first
                 if in_pi or disables:
                     detail = (
-                        "first Π/S occurrence at index {} has time {!r} > deadline "
-                        "{!r}".format(index, time, deadline)
+                        "first Π/S occurrence at index {} has time {} > deadline "
+                        "{}".format(index, render_time(time), render_time(deadline))
                     )
                 else:
                     detail = (
-                        "no Π action or S state by the deadline {!r} (t_end = "
-                        "{!r})".format(deadline, time)
+                        "no Π action or S state by the deadline {} (t_end = "
+                        "{})".format(render_time(deadline), render_time(time))
                     )
                 violation = Violation(condition.name, "upper", origin, detail)
             # Thresholds grow with the origin: the reached ones are a prefix.
@@ -263,8 +266,10 @@ class SemiSatisfactionMonitor:
                         condition.name,
                         "lower",
                         origin,
-                        "Π action {!r} at index {} occurs at time {!r} < {!r} with no "
-                        "intervening disabling state".format(action, index, time, threshold),
+                        "Π action {!r} at index {} occurs at time {} < {} with no "
+                        "intervening disabling state".format(
+                            action, index, render_time(time), render_time(threshold)
+                        ),
                     )
             if violation is not None:
                 return None, violation
@@ -369,8 +374,8 @@ def find_boundmap_violation(
                             "upper",
                             origin,
                             "first C action / disabling at index {} is at time "
-                            "{!r} > deadline {!r}".format(
-                                witness, seq.time(witness), deadline
+                            "{} > deadline {}".format(
+                                witness, render_time(seq.time(witness)), render_time(deadline)
                             ),
                         )
                 elif not (semi and seq.t_end <= deadline):
@@ -378,8 +383,8 @@ def find_boundmap_violation(
                         cls.name,
                         "upper",
                         origin,
-                        "no C action or disabled state by deadline {!r} "
-                        "(t_end = {!r})".format(deadline, seq.t_end),
+                        "no C action or disabled state by deadline {} "
+                        "(t_end = {})".format(render_time(deadline), render_time(seq.t_end)),
                     )
             # Condition 2: no C action strictly before b_l has elapsed.
             if interval.lo > 0:
@@ -392,8 +397,10 @@ def find_boundmap_violation(
                             cls.name,
                             "lower",
                             origin,
-                            "C action {!r} at index {} occurs at time {!r} < "
-                            "{!r}".format(seq.action(j), j, seq.time(j), threshold),
+                            "C action {!r} at index {} occurs at time {} < "
+                            "{}".format(
+                                seq.action(j), j, render_time(seq.time(j)), render_time(threshold)
+                            ),
                         )
     return None
 

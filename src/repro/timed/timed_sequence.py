@@ -14,6 +14,7 @@ from typing import Hashable, Iterator, List, Sequence, Tuple, Union
 
 from repro.errors import TimedSequenceError
 from repro.ioa.execution import Execution
+from repro.timed.interval import render_time
 
 __all__ = ["TimedEvent", "TimedSequence", "timed_word"]
 
@@ -26,7 +27,7 @@ class TimedEvent:
     time: object  # any real-number type
 
     def __repr__(self) -> str:
-        return "({!r}, {!r})".format(self.action, self.time)
+        return "({!r}, {})".format(self.action, render_time(self.time))
 
 
 class TimedSequence:

@@ -80,12 +80,12 @@ class SeparationBounds:
     def __str__(self) -> str:
         """The bounds as an interval, ``(`` or ``)`` at an end that is
         only approached: ``[6, 10]``."""
-        from repro.timed.interval import _render
+        from repro.timed.interval import render_time
 
         return "{}{}, {}{}".format(
             "(" if self.lo_strict else "[",
-            _render(self.lo),
-            _render(self.hi),
+            render_time(self.lo),
+            render_time(self.hi),
             ")" if self.hi_strict else "]",
         )
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import TimingConditionError
 from repro.core.discretize import discrete_options, grid_aligned, grid_times
@@ -43,6 +45,23 @@ class TestGridTimes:
         assert grid_aligned(F(3, 2), F(1, 2))
         assert not grid_aligned(F(1, 3), F(1, 2))
         assert grid_aligned(math.inf, F(1, 2))
+
+
+@given(lo=st.integers(-50, 50), hi=st.integers(-50, 50), grid=st.integers(1, 12))
+def test_int_inputs_give_ints_equal_to_the_fraction_path(lo, hi, grid):
+    times = grid_times(lo, hi, grid)
+    assert all(type(t) is int for t in times)
+    assert times == grid_times(F(lo), F(hi), F(grid))
+    if lo > hi:
+        assert times == []
+    else:
+        assert times == [t for t in range(lo, hi + 1) if t % grid == 0]
+
+
+@given(grid=st.integers(-5, 0) | st.fractions(max_value=0))
+def test_nonpositive_grid_still_raises(grid):
+    with pytest.raises(TimingConditionError):
+        grid_times(0, 1, grid)
 
 
 class TestDiscreteOptions:

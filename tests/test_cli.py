@@ -63,6 +63,16 @@ class TestPerturbCommand:
         assert payload["broken"] is True and payload["fragile"] is True
         assert payload["tolerance"] is None
 
+    def test_collapsed_stage_spells_its_empty_interval(self, capsys):
+        # Tightening [1, 2] by 1/2 of its width leaves [3/2, 1].
+        import json
+
+        assert main(["perturb", "gen:relay_tree-2x2", "--epsilon", "1/2", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert "empty interval [3/2, 1]" in payload["detail"]
+        assert "Fraction(" not in payload["detail"]
+
     def test_epsilon_and_search_are_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

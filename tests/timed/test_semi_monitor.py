@@ -161,8 +161,7 @@ class TestExamples:
             "U",
             "upper",
             1,
-            "no Π action or S state by the deadline Fraction(1, 1) (t_end = "
-            "Fraction(3, 1))",
+            "no Π action or S state by the deadline 1 (t_end = 3)",
         )
 
     def test_earlier_origin_wins_across_clauses(self):
