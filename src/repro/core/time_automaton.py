@@ -148,8 +148,8 @@ class PredictiveTimeAutomaton:
     ) -> Prediction:
         """Conditions 3(b)–(c) and 4(b)–(d) for one condition."""
         trigger = cond.triggers(pre_astate, action, post_astate)
-        if trigger:
-            cond.check_trigger_step(pre_astate, action, post_astate)
+        if trigger and cond.disables(post_astate):
+            cond.check_trigger_step(pre_astate, action, post_astate)  # raises
         if in_pi:
             if trigger:
                 return Prediction(t + cond.lower, t + cond.upper)
@@ -252,8 +252,13 @@ class PredictiveTimeAutomaton:
         """The interval of times at which ``action`` may occur next, or
         None when the window is empty.  Lower end: ``Ct`` and every
         ``Ft(U)`` with ``π ∈ Π(U)``; upper end: every ``Lt(U)``."""
+        return self._window(state, action, self.deadline(state))
+
+    def _window(
+        self, state: TimeState, action: Hashable, hi: object
+    ) -> Optional[Tuple[object, object]]:
+        """:meth:`time_window` given the state's deadline ``hi``."""
         lo = state.now
-        hi = self.deadline(state)
         for pred, in_pi in zip(state.preds, self._in_pi(action)):
             if in_pi and pred.ft > lo:
                 lo = pred.ft
@@ -263,10 +268,12 @@ class PredictiveTimeAutomaton:
 
     def schedulable_actions(self, state: TimeState) -> List[Tuple[Hashable, object, object]]:
         """The actions enabled in ``state.astate`` whose time window is
-        non-empty, with their windows: ``[(action, lo, hi), …]``."""
+        non-empty, with their windows: ``[(action, lo, hi), …]``.  The
+        deadline is the same for every action, so it is computed once."""
+        hi = self.deadline(state)
         result = []
         for action in self.base.enabled_actions(state.astate):
-            window = self.time_window(state, action)
+            window = self._window(state, action, hi)
             if window is not None:
                 result.append((action, window[0], window[1]))
         return result

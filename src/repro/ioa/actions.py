@@ -29,6 +29,19 @@ class Act:
     name: str
     args: Tuple[Hashable, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Actions key every guard, memo and signature lookup: hash the
+        # fields once, to the value the generated ``__hash__`` gave.
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process; rebuild rather than
+        # carry a stale ``_hash`` across a pickle boundary.
+        return (Act, (self.name, self.args))
+
     def __repr__(self) -> str:
         if not self.args:
             return self.name

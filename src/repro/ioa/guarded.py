@@ -11,7 +11,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import AutomatonError
 from repro.ioa.actions import ActionSignature, Kind
@@ -149,3 +149,16 @@ class GuardedAutomaton(IOAutomaton):
         # Cheaper than the base class: consult the guard, not the effects.
         spec = self._specs.get(action)
         return spec is not None and spec.enabled(state)
+
+    def enabled_actions(self, state: Hashable) -> List[Hashable]:
+        """The base class's answer, read off ``(action, precondition)``
+        pairs in repr order: no action is looked up or hashed per guard.
+        The pairs are built on the first call."""
+        try:
+            guards = self._guards
+        except AttributeError:
+            guards = self._guards = tuple(
+                (action, self._specs[action].precondition)
+                for action in sorted(self._signature.all_actions, key=repr)
+            )
+        return [action for action, guard in guards if guard is None or guard(state)]

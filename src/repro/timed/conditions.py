@@ -203,24 +203,37 @@ def cond_of_class(timed: TimedAutomaton, cls: PartitionClass) -> TimingCondition
     """
     automaton = timed.automaton
     start_set = frozenset(automaton.start_states())
+    actions = cls.actions
+    # ``state ∈ enabled(A, C)`` is ``mask(state) & bit``: the class's bit
+    # of the memoised enabled mask, bound here once.
+    bit = automaton._enabledness()[0].get(cls)
+    if bit is None:
+        # Not a class of the automaton's partition: no mask bit decides it.
+        bit = 1
+
+        def mask(state: Hashable) -> int:
+            return int(automaton.class_enabled(state, cls))
+
+    else:
+        mask = automaton.enabled_mask
 
     def starts(state: Hashable) -> bool:
-        return state in start_set and automaton.class_enabled(state, cls)
+        return state in start_set and bool(mask(state) & bit)
 
     def triggers(pre: Hashable, action: Hashable, post: Hashable) -> bool:
-        if not automaton.class_enabled(post, cls):
+        if not mask(post) & bit:
             return False
-        return action in cls.actions or not automaton.class_enabled(pre, cls)
+        return action in actions or not mask(pre) & bit
 
     def disables(state: Hashable) -> bool:
-        return not automaton.class_enabled(state, cls)
+        return not mask(state) & bit
 
     return TimingCondition(
         name=cls.name,
         interval=timed.class_interval(cls),
         starts=starts,
         triggers=triggers,
-        in_pi=lambda action: action in cls.actions,
+        in_pi=lambda action: action in actions,
         disables=disables,
     )
 

@@ -56,8 +56,9 @@ class TimedSequence:
         for index, ev in enumerate(self._events):
             if ev.time < previous:
                 raise TimedSequenceError(
-                    "event times must be nondecreasing: t_{} = {!r} < t_{} = "
-                    "{!r}".format(index + 1, ev.time, index, previous)
+                    "event times must be nondecreasing: t_{} = {} < t_{} = {}".format(
+                        index + 1, render_time(ev.time), index, render_time(previous)
+                    )
                 )
             previous = ev.time
 

@@ -209,3 +209,63 @@ class TestSchedulingHelpers:
     def test_time_violation_reports_reason(self):
         reason = self.auto.time_violation(self.init, "req", 1)
         assert reason is not None and "S" in reason
+
+
+class TestRequirementTwoAtPointOfUse:
+    """``(s', π, s) ∈ T_step ⇒ s ∉ S`` is asserted on every step that
+    ``time(A, U)`` takes, not only by ``check_trigger_step``."""
+
+    def expected_message(self, cond):
+        with pytest.raises(TimingConditionError) as direct:
+            cond.check_trigger_step("idle", "req", "busy")
+        return str(direct.value)
+
+    @pytest.mark.parametrize("pi", [{"done"}, {"req", "done"}])
+    def test_trigger_into_disabling_state_raises(self, pi):
+        # ``req`` triggers and ends in ``busy``, which disables; the
+        # step is rejected whether or not ``req`` is in Π.
+        cond = TimingCondition.build(
+            "R",
+            Interval(1, 3),
+            actions=pi,
+            step_predicate=lambda pre, a, post: a == "req",
+            disabling={"busy"},
+        )
+        auto = time_of_conditions(flow_automaton(), [cond])
+        init = auto.initial("idle")
+        for take in (auto.successors, auto.successor):
+            with pytest.raises(TimingConditionError) as raised:
+                take(init, "req", 1)
+            assert str(raised.value) == self.expected_message(cond)
+
+    def test_disabling_without_trigger_resets(self):
+        # Entering S on a non-trigger step is legal: the prediction
+        # falls back to the default.
+        cond = TimingCondition.build(
+            "R",
+            Interval(1, 3),
+            actions={"noise"},
+            step_predicate=lambda pre, a, post: a == "done",
+            disabling={"busy"},
+        )
+        auto = time_of_conditions(flow_automaton(), [cond])
+        post = auto.successor(auto.initial("idle"), "req", 1)
+        assert post.preds == (DEFAULT_PREDICTION,)
+        back = auto.successor(post, "done", 2)
+        assert back.preds == (Prediction(3, 5),)
+
+
+class TestSchedulableWindows:
+    def test_schedulable_actions_agree_with_time_window(self):
+        auto = time_of_conditions(
+            flow_automaton(), [response_condition(1, 3), startup_condition(2, 4)]
+        )
+        state = auto.initial("idle")
+        for action, t in [("noise", 1), ("req", 2), ("noise", 3), ("done", 4)]:
+            expected = [
+                (a,) + auto.time_window(state, a)
+                for a in auto.base.enabled_actions(state.astate)
+                if auto.time_window(state, a) is not None
+            ]
+            assert auto.schedulable_actions(state) == expected
+            state = auto.successor(state, action, t)

@@ -1,7 +1,14 @@
 """Tests for actions and action signatures (Section 2.1)."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import SignatureError
 from repro.ioa.actions import Act, ActionSignature, Kind, act
 
@@ -30,6 +37,65 @@ class TestAct:
 
     def test_ordering(self):
         assert Act("A") < Act("B")
+
+
+# Run in a child with another hash seed: unpickle the parent's actions,
+# build the same ones afresh, and report how they compare.
+_CHILD = """
+import pickle, sys
+from repro.ioa.actions import Act
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+built = [Act("SIGNAL", (1, "x")), Act("GRANT"), Act("SETFLAG", (("p", 2), "up"))]
+print(repr(hash("SIGNAL")))
+print(all(a == b and hash(a) == hash(b) for a, b in zip(loaded, built)))
+print(all(a in set(built) and {b: 1}.get(a) == 1 for a, b in zip(loaded, built)))
+print(" ".join(repr(hash(a)) for a in loaded))
+"""
+
+
+class TestActHash:
+    ACTS = [Act("SIGNAL", (1, "x")), Act("GRANT"), Act("SETFLAG", (("p", 2), "up"))]
+
+    def test_equal_acts_hash_equal(self):
+        for a in self.ACTS:
+            twin = act(a.name, *a.args)
+            assert twin == a and hash(twin) == hash(a)
+            # The value the generated dataclass hash gave: set and dict
+            # iteration orders over actions do not move.
+            assert hash(a) == hash((a.name, a.args))
+
+    def test_sort_order_unchanged(self):
+        acts = [act("B", 2), act("A"), act("B", 1), act("A", 3), act("B", 1, 0)]
+        assert sorted(acts) == sorted(acts, key=lambda a: (a.name, a.args))
+        assert [repr(a) for a in sorted(acts)] == ["A", "A(3)", "B(1)", "B(1, 0)", "B(2)"]
+
+    def test_copies_rebuild(self):
+        for a in self.ACTS:
+            for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert twin == a and hash(twin) == hash(a)
+
+    def test_pickle_across_hash_seeds(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD],
+            input=pickle.dumps(self.ACTS).hex(),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        salt, equal, found, hashes = child.stdout.splitlines()
+        assert int(salt) != hash("SIGNAL")  # the child's strings hash differently
+        assert equal == "True"
+        assert found == "True"
+        # No hash computed here crossed the pickle.
+        assert [int(h) for h in hashes.split()] != [hash(a) for a in self.ACTS]
 
 
 class TestActionSignature:

@@ -16,7 +16,10 @@ from repro.core.checker import check_mapping_exhaustive
 from repro.faults.perturb import ActionDropAutomaton
 from repro.gen.families import build_bundle
 from repro.gen.names import is_gen_name
+from repro.ioa.automaton import IOAutomaton
+from repro.ioa.composition import Composition, HiddenAutomaton
 from repro.ioa.explorer import explore
+from repro.ioa.guarded import GuardedAutomaton
 from repro.ioa.partition import PartitionClass
 from repro.catalog import SURFACE_SYSTEMS
 from repro.surface import _SYSTEMS, explore_automaton, mapping_specs
@@ -116,6 +119,34 @@ class TestOracle:
                 assert automaton.class_enabled(state, foreign) == automaton.is_enabled(
                     state, other
                 )
+
+
+def guarded_parts(automaton, states):
+    """``(guarded, its states)`` for every :class:`GuardedAutomaton` in
+    ``automaton``: itself, under hiding, or a component of a composition
+    (whose states are projected to that component's)."""
+    if isinstance(automaton, GuardedAutomaton):
+        yield automaton, list(dict.fromkeys(states))
+    elif isinstance(automaton, HiddenAutomaton):
+        yield from guarded_parts(automaton.inner, states)
+    elif isinstance(automaton, Composition):
+        for index, component in enumerate(automaton.components):
+            yield from guarded_parts(component, [state[index] for state in states])
+
+
+class TestGuardPairs:
+    def test_enabled_actions_match_the_base_filter(self, system):
+        # The guard pairs against ``IOAutomaton``'s from-scratch filter,
+        # content and order, from a cold instance.
+        name, states = system
+        parts = list(guarded_parts(fresh_automaton(name), states))
+        assert parts, name
+        for guarded, local_states in parts:
+            assert not hasattr(guarded, "_guards")  # built on first use only
+            for state in local_states:
+                assert GuardedAutomaton.enabled_actions(
+                    guarded, state
+                ) == IOAutomaton.enabled_actions(guarded, state), (name, state)
 
 
 class TestWrappersKeepTheirOwnMemo:

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TimingConditionError
 from repro.ioa.actions import Kind
 from repro.ioa.guarded import ActionSpec, GuardedAutomaton
-from repro.ioa.partition import Partition
+from repro.ioa.partition import Partition, PartitionClass
 from repro.timed.boundmap import Boundmap, TimedAutomaton
 from repro.timed.conditions import TimingCondition, boundmap_conditions, cond_of_class
 from repro.timed.interval import Interval
@@ -141,6 +141,19 @@ class TestCondOfClass:
         cond = cond_of_class(ta, ta.automaton.partition["FIRE"])
         assert cond.triggers("off", "arm", "on")
         assert not cond.triggers("on", "fire", "off")
+
+    def test_class_outside_the_partition(self):
+        # A class that is not one of part(A) has no bit in the enabled
+        # mask: it is decided action by action, as ``class_enabled`` does.
+        ta = pulse_timed()
+        both = PartitionClass("FIRE", frozenset({"fire", "arm"}))
+        cond = cond_of_class(ta, both)
+        for state in ("on", "off"):
+            assert ta.automaton.class_enabled(state, both)
+            assert not cond.disables(state)
+        assert cond.starts("on")
+        assert cond.triggers("on", "fire", "off")  # its own action
+        assert not cond.triggers("on", "other", "off")  # enabled before and after
 
     def test_interval_copied_from_boundmap(self):
         ta = pulse_timed()

@@ -1,5 +1,7 @@
 """Tests for timed sequences (Section 2.2)."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.errors import TimedSequenceError
@@ -22,10 +24,23 @@ class TestConstruction:
         with pytest.raises(TimedSequenceError):
             TimedSequence(("s0", "s1", "s2"), (("a", 2), ("b", 1)))
 
+    def test_decreasing_times_message(self):
+        # Times are spelled by ``render_time``: ``3``, not ``Fraction(3, 1)``.
+        with pytest.raises(TimedSequenceError) as raised:
+            TimedSequence(
+                ("s0", "s1", "s2"), (("a", Fraction(3)), ("b", Fraction(5, 2)))
+            )
+        assert str(raised.value) == (
+            "event times must be nondecreasing: t_2 = 5/2 < t_1 = 3"
+        )
+
     def test_first_time_below_zero_rejected(self):
         # t_0 = 0 by definition, so a negative first event time is invalid.
-        with pytest.raises(TimedSequenceError):
+        with pytest.raises(TimedSequenceError) as raised:
             TimedSequence(("s0", "s1"), (("a", -1),))
+        assert str(raised.value) == (
+            "event times must be nondecreasing: t_1 = -1 < t_0 = 0"
+        )
 
     def test_equal_times_allowed(self):
         seq_abc()
